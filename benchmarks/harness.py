@@ -65,12 +65,10 @@ class Case:
 
     ``workers > 0`` runs the frontier-split parallel search of
     :mod:`repro.core.parallel` and suffixes the case id with ``/w=N`` so
-    sequential and parallel timings coexist in one report.  ``facts=True``
-    turns on the :mod:`repro.analysis` assistance (``use_facts=``,
-    suffix ``/f=1``) — verdicts are identical by contract, so the axis
-    isolates the facts engine's overhead/payoff.  ``refine=True`` turns on
-    the :mod:`repro.refine` CEGAR prescreen (``use_refinement=``, suffix
-    ``/r=1``), same byte-identical-verdict contract.
+    sequential and parallel timings coexist in one report.
+    ``refine=True`` turns on the :mod:`repro.refine` prescreen
+    (``use_refinement=``, suffix ``/r=1``) — verdicts are identical by
+    contract, so the axis isolates the prescreen's overhead/payoff.
     """
 
     def __init__(
@@ -79,34 +77,22 @@ class Case:
         size: int,
         prop: str,
         workers: int = 0,
-        facts: bool = False,
         refine: bool = False,
     ):
         self.family = family
         self.size = size
         self.prop = prop
         self.workers = workers
-        self.facts = facts
         self.refine = refine
         suffix = f"/w={workers}" if workers > 0 else ""
-        suffix += "/f=1" if facts else ""
         suffix += "/r=1" if refine else ""
         self.case_id = f"{family}/n={size}/{prop}{suffix}"
 
     def with_workers(self, workers: int) -> "Case":
-        return Case(
-            self.family, self.size, self.prop, workers, self.facts, self.refine
-        )
-
-    def with_facts(self, facts: bool) -> "Case":
-        return Case(
-            self.family, self.size, self.prop, self.workers, facts, self.refine
-        )
+        return Case(self.family, self.size, self.prop, workers, self.refine)
 
     def with_refine(self, refine: bool) -> "Case":
-        return Case(
-            self.family, self.size, self.prop, self.workers, self.facts, refine
-        )
+        return Case(self.family, self.size, self.prop, self.workers, refine)
 
     def build(self):
         from repro.models.counterflow import counterflow_pipeline
@@ -134,7 +120,6 @@ class Case:
         return check(
             prefix,
             workers=self.workers,
-            use_facts=self.facts,
             use_refinement=self.refine,
             cert_cache=cert_cache,
         ).holds
@@ -198,9 +183,9 @@ def measure_case(case: Case, warmup: int, repeat: int) -> Dict[str, object]:
 
     def reset_facts() -> None:
         # the FactBase is memoized per content hash; drop it so every
-        # sample pays (and the /f=1 and /r=1 axes therefore show) the
-        # full analysis cost, not a warm-cache read
-        if case.facts or case.refine:
+        # sample pays (and the /r=1 axis therefore shows) the full
+        # analysis cost of the refinement licence, not a warm-cache read
+        if case.refine:
             from repro.analysis import clear_memo
 
             clear_memo()
@@ -238,7 +223,6 @@ def measure_case(case: Case, warmup: int, repeat: int) -> Dict[str, object]:
         "size": case.size,
         "property": case.prop,
         "workers": case.workers,
-        "facts": case.facts,
         "refine": case.refine,
         "holds": holds,
         "repeats": repeat,
@@ -402,7 +386,6 @@ def run_suite(
     families: Optional[Sequence[str]] = None,
     workers: Sequence[int] = (0,),
     serve_clients: Sequence[int] = (),
-    facts: Sequence[int] = (0,),
     refine: Sequence[int] = (0,),
 ) -> Dict[str, object]:
     """Run the suite and return the full schema-versioned report dict.
@@ -412,21 +395,18 @@ def run_suite(
     ``serve_clients`` is the concurrency axis of the HTTP serving scenario:
     each quick-suite case is additionally pushed through a live
     ``repro.serve`` instance once per client count (e.g. ``(1, 4, 16)``).
-    ``facts`` is the :mod:`repro.analysis` axis: ``(0, 1)`` measures every
-    case both without and with ``use_facts`` assistance.  ``refine`` is the
-    :mod:`repro.refine` axis, same convention with ``use_refinement``.
+    ``refine`` is the :mod:`repro.refine` axis: ``(0, 1)`` measures every
+    case both without and with ``use_refinement``.
     """
     suite = QUICK_SUITE if quick else SUITE
     if families:
         suite = [case for case in suite if case.family in families]
     axis = list(dict.fromkeys(workers)) or [0]
-    facts_axis = list(dict.fromkeys(facts)) or [0]
     refine_axis = list(dict.fromkeys(refine)) or [0]
     timed = [
-        case.with_workers(w).with_facts(bool(f)).with_refine(bool(r))
+        case.with_workers(w).with_refine(bool(r))
         for case in suite
         for w in axis
-        for f in facts_axis
         for r in refine_axis
     ]
     results = []
@@ -522,7 +502,8 @@ def validate_report(data: object) -> None:
             raise ValueError(
                 f"bench result {record['id']!r} has invalid workers field"
             )
-        # "facts"/"refine" are optional (reports predating the axes omit them)
+        # "refine" is optional (reports predating the axis omit it); "facts"
+        # only appears in reports from when the harness had that axis
         for axis_field in ("facts", "refine"):
             if axis_field in record and not isinstance(
                 record[axis_field], bool
@@ -639,7 +620,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         families=args.families,
         workers=args.workers or [0],
         serve_clients=args.serve_clients or [],
-        facts=args.facts or [0],
         refine=args.refine or [0],
     )
     validate_report(report)
@@ -720,21 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--serve-clients 1 4 16; default: skipped)",
         )
         p.add_argument(
-            "--facts",
-            nargs="*",
-            type=int,
-            choices=(0, 1),
-            metavar="0|1",
-            help="analysis-facts axis: measure each case once per value "
-            "(--facts 0 1 records the with/without pair; default: 0)",
-        )
-        p.add_argument(
             "--refine",
             nargs="*",
             type=int,
             choices=(0, 1),
             metavar="0|1",
-            help="CEGAR-refinement axis: measure each case once per value "
+            help="refinement axis: measure each case once per value "
             "(--refine 0 1 records the with/without pair; default: 0)",
         )
         p.add_argument(

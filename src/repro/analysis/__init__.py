@@ -9,11 +9,10 @@ justification replayed by the independent :func:`verify_fact` — the same
 no-trust contract as :mod:`repro.lint.certificates`.
 
 Consumers: the ``A4xx`` lint tier (:mod:`repro.lint.rules_analysis`), the
-``use_facts=`` search path of :mod:`repro.core.verifier`, and the
-``repro-stg analyze`` CLI subcommand.
+dynamic conflict-freeness licence of the refinement prescreen in
+:mod:`repro.core.verifier`, and the ``repro-stg analyze`` CLI subcommand.
 """
 
-from repro.analysis.cliques import conflict_clique_capacities
 from repro.analysis.cores import ConflictCore, extract_core
 from repro.analysis.engine import (
     AnalysisOptions,
@@ -61,7 +60,6 @@ __all__ = [
     "FactBase",
     "analyze",
     "clear_memo",
-    "conflict_clique_capacities",
     "extract_core",
     "is_siphon",
     "is_trap",

@@ -3,7 +3,7 @@
 :func:`analyze` computes the whole-net structural facts (relations, traps,
 siphons, trigger/lock structure) exactly once per STG content hash — an
 in-process memo keyed by :meth:`repro.stg.stg.STG.content_hash` makes the
-repeated calls from lint rules, the verifier's ``use_facts`` path and the
+repeated calls from lint rules, the verifier's refinement licence and the
 CLI free; an optional :class:`~repro.engine.cache.ResultCache` round-trips
 the serialized facts across processes.  Everything is deterministic:
 deterministic invariant bases (``petri.analysis._integer_kernel``),

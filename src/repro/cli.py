@@ -171,8 +171,7 @@ def _check_property(stg, prop: str, args: argparse.Namespace) -> bool:
         else:
             holds = _check_coding(
                 stg, prop, args.method, args.verbose, args.node_budget,
-                args.workers, use_facts=getattr(args, "facts", False),
-                use_refinement=getattr(args, "refine", False),
+                args.workers, use_refinement=getattr(args, "refine", False),
             )
         print(f"{prop.upper()}: {'OK' if holds else 'CONFLICT'}")
         return holds
@@ -191,7 +190,6 @@ def _check_portfolio(stg, prop: str, args: argparse.Namespace) -> bool:
         timeout=args.timeout,
         node_budget=args.node_budget,
         workers=getattr(args, "workers", 0),
-        use_facts=getattr(args, "facts", False),
         use_refinement=getattr(args, "refine", False),
     )
     with WorkerPool(max_workers=len(engines)) as pool:
@@ -215,14 +213,13 @@ def _check_coding(
     verbose: bool,
     node_budget: Optional[int] = None,
     workers: int = 0,
-    use_facts: bool = False,
     use_refinement: bool = False,
 ) -> bool:
     if method == "ilp":
         from repro.core import check_csc, check_usc
 
         report = (check_usc if prop == "usc" else check_csc)(
-            stg, node_budget=node_budget, workers=workers, use_facts=use_facts,
+            stg, node_budget=node_budget, workers=workers,
             use_refinement=use_refinement,
         )
         if verbose and report.witness is not None:
@@ -411,7 +408,6 @@ def _profile_property(stg, prop: str, args: argparse.Namespace) -> bool:
         return _check_normalcy(stg, args.method, args.node_budget, workers)
     return _check_coding(
         stg, prop, args.method, False, args.node_budget, workers,
-        use_facts=getattr(args, "facts", False),
         use_refinement=getattr(args, "refine", False),
     )
 
@@ -966,19 +962,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0 = sequential; ilp method only)",
     )
     check.add_argument(
-        "--facts",
-        action="store_true",
-        help="let the IP search consume the structural facts engine "
-        "(repro.analysis): facts-licensed prescreens and clique-capacity "
-        "pruning; verdicts and witnesses are byte-identical either way",
-    )
-    check.add_argument(
         "--refine",
         action="store_true",
-        help="run the CEGAR trap/siphon refinement prescreen (repro.refine) "
-        "before the IP search: refuted conflict systems skip the search "
-        "entirely with a replayable cut certificate; verdicts and witnesses "
-        "are byte-identical either way (docs/refinement.md)",
+        help="run the refinement prescreen (repro.refine) before the IP "
+        "search: refuted conflict systems skip the search entirely with a "
+        "replayable dual certificate; verdicts and witnesses are "
+        "byte-identical either way (docs/refinement.md)",
     )
     check.add_argument(
         "--timeout",
@@ -1030,14 +1019,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="intra-check search workers (default: 0 = sequential)",
     )
     profile.add_argument(
-        "--facts",
-        action="store_true",
-        help="enable the structural-facts search path (ilp method only)",
-    )
-    profile.add_argument(
         "--refine",
         action="store_true",
-        help="enable the CEGAR refinement prescreen (ilp method only); adds "
+        help="enable the refinement prescreen (ilp method only); adds "
         "the refine row to the phase table",
     )
     profile.add_argument(

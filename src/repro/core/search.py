@@ -121,12 +121,6 @@ class PairSearch:
         behaviour the paper improves upon).
     ``node_budget``
         Raise :class:`SolverLimitError` after this many search nodes.
-    ``capacities``
-        Optional conflict-clique capacity tables from
-        :func:`repro.analysis.conflict_clique_capacities`.  In nested mode
-        they replace the plain suffix counts in the balance intervals —
-        never looser, so only dead subtrees are cut earlier and the
-        solution stream is unchanged (the ``use_facts=`` contract).
     ``movable_places``
         Optional per-original-place movability classification from
         :mod:`repro.refine` (the ``use_refinement=`` path; honoured in
@@ -148,7 +142,6 @@ class PairSearch:
         use_balance_pruning: bool = True,
         use_order_propagation: bool = True,
         node_budget: Optional[int] = None,
-        capacities: Optional[Tuple[List[List[int]], List[List[int]]]] = None,
         movable_places: Optional[List[bool]] = None,
     ):
         if mode not in (MODE_EQUAL, MODE_LEQ):
@@ -159,7 +152,6 @@ class PairSearch:
         self.use_balance_pruning = use_balance_pruning
         self.use_order_propagation = use_order_propagation
         self.node_budget = node_budget
-        self.capacities = capacities
         self.stats = SearchStats()
         self._movable = (
             movable_places if nested_only and mode == MODE_EQUAL else None
@@ -244,7 +236,6 @@ class PairSearch:
         context = self.context
         equal = self.mode == MODE_EQUAL
         prune = self.use_balance_pruning
-        capacities = self.capacities
         plain: List[Tuple[Tuple[int, int, int, int, int, int], ...]] = []
         sym: List[Tuple[Tuple[int, int, int, int, int, int], ...]] = []
         for index in range(context.num_vars):
@@ -254,30 +245,12 @@ class PairSearch:
             if signal is not None and prune:
                 nxt = index + 1
                 if self.nested_only:
-                    if capacities is not None:
-                        # the undecided window events are conflict-free, so
-                        # the clique capacities bound them at least as
-                        # tightly as the raw suffix counts
-                        plus_cap, minus_cap = capacities
-                        lim_pos = plus_cap[nxt][signal]
-                        lim_neg = -minus_cap[nxt][signal] if equal else -_NO_BOUND
-                    else:
-                        lim_pos = context.suffix_plus[nxt][signal]
-                        lim_neg = (
-                            -context.suffix_minus[nxt][signal]
-                            if equal
-                            else -_NO_BOUND
-                        )
+                    lim_pos = context.suffix_plus[nxt][signal]
+                    lim_neg = (
+                        -context.suffix_minus[nxt][signal] if equal else -_NO_BOUND
+                    )
                 else:
-                    if capacities is not None:
-                        # the two sides of the pair contribute through the
-                        # disjoint difference sets C'\C'' and C''\C', each
-                        # conflict-free on its own, so the clique capacities
-                        # of both polarities bound the total movement
-                        plus_cap, minus_cap = capacities
-                        count = plus_cap[nxt][signal] + minus_cap[nxt][signal]
-                    else:
-                        count = context.suffix_count[nxt][signal]
+                    count = context.suffix_count[nxt][signal]
                     lim_pos = count
                     lim_neg = -count if equal else -_NO_BOUND
             else:

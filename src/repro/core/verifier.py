@@ -22,6 +22,7 @@ from repro import obs
 from repro.core.context import SolverContext
 from repro.core.search import MODE_EQUAL, MODE_LEQ, PairSearch, SearchStats
 from repro.petri.marking import Marking
+from repro.petri.net import PetriNet
 from repro.stg.stg import STG
 from repro.unfolding.occurrence_net import Prefix
 from repro.unfolding.unfolder import UnfoldingOptions, unfold
@@ -127,16 +128,15 @@ def _make_search(
     node_budget: Optional[int] = None,
     workers: int = 0,
     shards: Optional[int] = None,
-    capacities=None,
     movable_places=None,
 ):
     """Build the sequential search, or its frontier-split parallel front end
     when the caller asked for workers or an explicit shard split (both have
     the same ``solutions()`` / ``stats`` surface — docs/parallelism.md).
 
-    Like the clique ``capacities``, the refinement ``movable_places``
-    classification tightens the sequential searches only — snapshots do not
-    carry it, so the parallel path simply prunes later."""
+    The refinement ``movable_places`` classification tightens the
+    sequential searches only — snapshots do not carry it, so the parallel
+    path simply prunes later."""
     if workers > 0 or (shards is not None and shards > 1):
         from repro.core.parallel import KIND_PAIRS, KIND_WINDOW, ParallelSearch
 
@@ -156,7 +156,6 @@ def _make_search(
         return WindowSearch(
             context,
             node_budget=node_budget,
-            capacities=capacities,
             movable_places=movable_places,
         )
     return PairSearch(
@@ -164,7 +163,6 @@ def _make_search(
         mode=mode,
         nested_only=nested_only,
         node_budget=node_budget,
-        capacities=capacities,
         movable_places=movable_places,
     )
 
@@ -172,10 +170,10 @@ def _make_search(
 def _facts_dcf(context: SolverContext) -> bool:
     """Does the fact engine prove dynamic conflict-freeness (Proposition 1)?
 
-    Used by the ``use_facts=`` path to license the nested-formulation
-    prescreens when :func:`_should_nest`'s purely structural test fails.
-    The proof is the invariant-exclusion coverage of every structural
-    conflict pair (docs/analysis.md), computed once per STG content hash.
+    Licenses the refinement prescreen when :func:`_should_nest`'s purely
+    structural test fails.  The proof is the invariant-exclusion coverage
+    of every structural conflict pair (docs/analysis.md), computed once per
+    STG content hash.
     """
     from repro.analysis import analyze
 
@@ -183,8 +181,8 @@ def _facts_dcf(context: SolverContext) -> bool:
 
 
 def _run_refinement(context: SolverContext, nest: bool, cert_cache=None):
-    """Run the :mod:`repro.refine` CEGAR prescreen when Proposition 1
-    licenses it (structural nesting or a facts-proven DCF certificate).
+    """Run the :mod:`repro.refine` prescreen when Proposition 1 licenses
+    it (structural nesting or a facts-proven DCF certificate).
 
     Returns ``(refuted, movable_places)``.  ``movable_places`` feeds the
     in-search tightening and is only handed out under the *structural*
@@ -197,30 +195,12 @@ def _run_refinement(context: SolverContext, nest: bool, cert_cache=None):
     """
     if not (nest or _facts_dcf(context)):
         return False, None
-    from repro.core.prescreen import refinement_prescreen
+    from repro.refine import refine_prescreen
 
     with obs.trace("refine.prescreen"):
-        verdict, outcome = refinement_prescreen(context, cert_store=cert_cache)
+        outcome = refine_prescreen(context, cert_store=cert_cache)
     movable = outcome.movable_places if nest and not outcome.refuted else None
-    return verdict is False, movable
-
-
-def _clique_capacities(
-    context: SolverContext, use_facts: bool, workers: int, shards: Optional[int]
-):
-    """Capacity tables for the sequential searches (``use_facts=`` only).
-
-    The parallel driver ships :class:`SolverSnapshot` slices that do not
-    carry the tables, so the facts-tightened bounds apply to the sequential
-    path only — verdicts and witnesses are identical either way, the
-    parallel run just prunes later.
-    """
-    if not use_facts or workers > 0 or (shards is not None and shards > 1):
-        return None
-    from repro.analysis import conflict_clique_capacities
-
-    with obs.trace("analysis.cliques"):
-        return conflict_clique_capacities(context)
+    return outcome.refuted, movable
 
 
 def _should_nest(context: SolverContext, nested: Optional[bool]) -> bool:
@@ -233,10 +213,13 @@ def _should_nest(context: SolverContext, nested: Optional[bool]) -> bool:
     """
     if nested is not None:
         return nested
-    net = context.prefix.net
-    return all(
-        len(net.place_postset(p)) <= 1 for p in range(net.num_places)
-    )
+    return structurally_nested(context.prefix.net)
+
+
+def structurally_nested(net: PetriNet) -> bool:
+    """No place of ``net`` has two consumers — the structural sufficient
+    condition for dynamic conflict-freeness (e.g. marked graphs)."""
+    return all(len(net.place_postset(p)) <= 1 for p in range(net.num_places))
 
 
 def check_usc(
@@ -244,11 +227,9 @@ def check_usc(
     first_only: bool = True,
     nested: Optional[bool] = None,
     use_window_search: bool = True,
-    prescreen: Optional[str] = "kernel",
     node_budget: Optional[int] = None,
     workers: int = 0,
     shards: Optional[int] = None,
-    use_facts: bool = False,
     use_refinement: bool = False,
     cert_cache=None,
     unfolding_options: Optional[UnfoldingOptions] = None,
@@ -260,27 +241,19 @@ def check_usc(
     otherwise, or when ``use_window_search`` is off (the ablation switch),
     the general pair search.
 
-    ``prescreen`` selects a sound relaxation pre-pass for the nested case:
-    ``"kernel"`` (default; sub-millisecond exact linear algebra), ``"lp"``
-    (the rational-simplex relaxation — stronger but much costlier), or
-    ``None``.  A conclusive prescreen skips the search entirely.
+    In the nested case the exact-kernel test of :mod:`repro.core.prescreen`
+    runs first (sub-millisecond linear algebra); a conclusive answer skips
+    the search entirely.
 
     ``workers`` / ``shards`` enable the frontier-split parallel search of
     :mod:`repro.core.parallel` (0/None: sequential; verdicts and witnesses
     are identical either way — docs/parallelism.md).
 
-    ``use_facts`` consults the :mod:`repro.analysis` fact engine: a proof of
-    dynamic conflict-freeness licenses the nested-formulation prescreen even
-    when the structural test of :func:`_should_nest` fails, and conflict-
-    clique capacity tables tighten the balance-pruning intervals of the
-    sequential searches.  Both only prune — verdicts and witnesses are
-    byte-identical to the ``use_facts=False`` path (pinned by
-    ``tests/analysis``).
-
-    ``use_refinement`` runs the :mod:`repro.refine` CEGAR prescreen (when
-    dynamic conflict-freeness licenses it): a refuted conflict system
-    settles the check with a replayable cut certificate and no search at
-    all; otherwise the certified-immovable places tighten the sequential
+    ``use_refinement`` runs the :mod:`repro.refine` prescreen (when
+    dynamic conflict-freeness licenses it, structurally or by a
+    :mod:`repro.analysis` proof): a refuted conflict system settles the
+    check with a replayable dual certificate and no search at all;
+    otherwise the certified-immovable places tighten the sequential
     searches.  Verdicts, witnesses and candidate counts are byte-identical
     either way (pinned by ``tests/refine``).
     """
@@ -289,16 +262,11 @@ def check_usc(
     nest = _should_nest(context, nested)
     witness = None
 
-    prescreen_licensed = nest
-    if use_facts and not nest and prescreen is not None:
-        prescreen_licensed = _facts_dcf(context)
+    if nest:
+        from repro.core.prescreen import kernel_prescreen
 
-    if prescreen_licensed and prescreen is not None:
-        from repro.core.prescreen import kernel_prescreen, lp_prescreen
-
-        screen = {"kernel": kernel_prescreen, "lp": lp_prescreen}[prescreen]
         with obs.trace("search.prescreen"):
-            verdict = screen(context)
+            verdict = kernel_prescreen(context)
         if verdict is False:
             return CodingReport(
                 property_name="USC",
@@ -324,7 +292,6 @@ def check_usc(
                 elapsed=time.perf_counter() - started,
             )
 
-    capacities = _clique_capacities(context, use_facts, workers, shards)
     if nest and use_window_search:
         search = _make_search(
             context,
@@ -332,7 +299,6 @@ def check_usc(
             node_budget=node_budget,
             workers=workers,
             shards=shards,
-            capacities=capacities,
             movable_places=movable,
         )
         with obs.trace("search.window"):
@@ -359,7 +325,6 @@ def check_usc(
             node_budget=node_budget,
             workers=workers,
             shards=shards,
-            capacities=capacities,
             movable_places=movable,
         )
         with obs.trace("search.pairs"):
@@ -393,7 +358,6 @@ def check_csc(
     node_budget: Optional[int] = None,
     workers: int = 0,
     shards: Optional[int] = None,
-    use_facts: bool = False,
     use_refinement: bool = False,
     cert_cache=None,
     unfolding_options: Optional[UnfoldingOptions] = None,
@@ -411,16 +375,10 @@ def check_csc(
     embedding does the checker fall back to the general pair search (other
     embeddings of the same window reach different marking pairs).
 
-    ``use_facts`` adds the fact-engine refinements of :func:`check_usc`:
-    under a (structural or facts-proven) dynamic conflict-freeness licence
-    a conclusive kernel prescreen settles CSC outright — no USC conflict
-    means no CSC conflict — and clique capacity tables tighten the
-    sequential searches.  Verdicts and witnesses stay byte-identical.
-
-    ``use_refinement`` adds the :mod:`repro.refine` CEGAR prescreen under
-    the same licence: a refuted conflict system means no USC conflict,
-    hence CSC holds with zero candidates; otherwise the certified-immovable
-    places tighten the sequential searches.  Verdicts, witnesses and
+    ``use_refinement`` adds the :mod:`repro.refine` prescreen under the
+    licence of :func:`check_usc`: a refuted conflict system means no USC
+    conflict, hence CSC holds with zero candidates; otherwise the
+    certified-immovable places tighten the sequential searches.  Verdicts, witnesses and
     candidate counts stay byte-identical (pinned by ``tests/refine``).
     """
     started = time.perf_counter()
@@ -429,22 +387,6 @@ def check_csc(
     witness = None
     usc_only = 0
     stats = None
-
-    if use_facts and (nest or _facts_dcf(context)):
-        from repro.core.prescreen import kernel_prescreen
-
-        with obs.trace("search.prescreen"):
-            verdict = kernel_prescreen(context)
-        if verdict is False:
-            return CodingReport(
-                property_name="CSC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
 
     movable = None
     if use_refinement:
@@ -460,7 +402,6 @@ def check_csc(
                 elapsed=time.perf_counter() - started,
             )
 
-    capacities = _clique_capacities(context, use_facts, workers, shards)
     if nest and use_window_search:
         window_search = _make_search(
             context,
@@ -468,7 +409,6 @@ def check_csc(
             node_budget=node_budget,
             workers=workers,
             shards=shards,
-            capacities=capacities,
             movable_places=movable,
         )
         saw_window = False
@@ -512,7 +452,6 @@ def check_csc(
             node_budget=node_budget,
             workers=workers,
             shards=shards,
-            capacities=capacities,
             movable_places=movable,
         )
         with obs.trace("search.pairs"):

@@ -85,13 +85,11 @@ class WindowSearch:
         context: ContextLike,
         require_marking_change: bool = True,
         node_budget: Optional[int] = None,
-        capacities: Optional[Tuple[List[List[int]], List[List[int]]]] = None,
         movable_places: Optional[List[bool]] = None,
     ):
         self.context = context
         self.require_marking_change = require_marking_change
         self.node_budget = node_budget
-        self.capacities = capacities
         self.stats = SearchStats()
         self.flows: List[Tuple[Tuple[int, int], ...]] = context.window_flows
         self.succ_pos: List[int] = context.succ_pos
@@ -111,22 +109,14 @@ class WindowSearch:
                 )
         # balance interval per position, for its own signal: the undecided
         # suffix can only raise the difference via s- events (exclusion side
-        # of a nested pair) and lower it via s+ events.  With clique
-        # capacity tables (repro.analysis, the ``use_facts=`` path) the raw
-        # suffix counts are replaced by the number of conflict cliques still
-        # intersecting the suffix — windows are conflict-free, so the bound
-        # stays sound and is never looser; only dead subtrees are cut.
+        # of a nested pair) and lower it via s+ events.
         self._lim_pos: List[int] = [_NO_BOUND] * context.num_vars
         self._lim_neg: List[int] = [-_NO_BOUND] * context.num_vars
-        if capacities is not None:
-            plus_bound, minus_bound = capacities[0], capacities[1]
-        else:
-            plus_bound, minus_bound = context.suffix_plus, context.suffix_minus
         for index in range(context.num_vars):
             signal = context.signal_of[index]
             if signal is not None:
-                self._lim_pos[index] = minus_bound[index + 1][signal]
-                self._lim_neg[index] = -plus_bound[index + 1][signal]
+                self._lim_pos[index] = context.suffix_minus[index + 1][signal]
+                self._lim_neg[index] = -context.suffix_plus[index + 1][signal]
 
     # -- public API -------------------------------------------------------------
 

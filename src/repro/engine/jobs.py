@@ -59,15 +59,10 @@ class VerificationJob:
     #: (0 = sequential); excluded from the cache identity like the other
     #: resource knobs — it cannot change the verdict.
     workers: int = 0
-    #: Let the ilp engine consume the structural FactBase (facts-licensed
-    #: prescreen, clique-capacity pruning).  Verdicts and witnesses are
-    #: byte-identical either way, so — like ``workers`` — the flag is
-    #: excluded from the cache identity.
-    use_facts: bool = False
-    #: Run the repro.refine CEGAR prescreen / in-search tightening in the
-    #: ilp engine.  Same contract as ``use_facts``: verdicts, witnesses and
-    #: candidate counts are byte-identical, so the flag is excluded from
-    #: the cache identity too.
+    #: Run the repro.refine prescreen / in-search tightening in the ilp
+    #: engine.  Verdicts, witnesses and candidate counts are byte-identical
+    #: either way, so — like ``workers`` — the flag is excluded from the
+    #: cache identity.
     use_refinement: bool = False
     #: Directory of a :class:`repro.engine.cache.ResultCache` whose
     #: refine-cert domain the refinement prescreen may replay verified
@@ -284,7 +279,6 @@ def _run_ilp(job: VerificationJob):
         job.stg,
         node_budget=job.node_budget,
         workers=job.workers,
-        use_facts=job.use_facts,
         use_refinement=job.use_refinement,
         cert_cache=cert_cache,
     )

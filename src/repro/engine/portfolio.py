@@ -13,10 +13,10 @@ pass (:mod:`repro.lint`): it costs no state-space construction, and when
 one of its certifying pre-filter rules decides the job's property the
 verdict is returned immediately — with the machine-checkable certificate
 attached — and the pool never sees the job.  (The cache is consulted
-first: a disk read is cheaper still than linting.)  Jobs with
-``use_facts=True`` then warm the structural :class:`~repro.analysis.FactBase`
-(once per STG hash, persisted in the result cache) so the racing ilp
-engines load it instead of recomputing.
+first: a disk read is cheaper still than linting.)  Refinement jobs on
+nets that fail the structural nesting test then warm the structural
+:class:`~repro.analysis.FactBase` (once per STG hash, persisted in the
+result cache) so the racing ilp engines load it instead of recomputing.
 
 :func:`run_jobs` is also the plain driver for single-engine jobs (a
 portfolio of one); every job flows cache → lint → analysis → pool →
@@ -117,9 +117,7 @@ def run_jobs(
             if settled is not None:
                 results[index] = settled
                 continue
-        if job.use_facts or job.use_refinement:
-            # refinement jobs also touch the FactBase (DCF licence check,
-            # tier-1 cut separation), so warm it for them too
+        if job.use_refinement:
             _analysis_stage(job, events, cache, analyzed)
         failures[index] = []
         for engine in job.engines:
@@ -175,16 +173,23 @@ def _analysis_stage(
     cache: Optional[ResultCache],
     analyzed: Dict[str, bool],
 ) -> None:
-    """Warm the FactBase of a ``use_facts`` job, once per STG hash.
+    """Warm the FactBase of a refinement job, once per STG hash.
 
-    Purely an optimisation pass: facts land in the in-process memo and (when
-    a cache is configured) in the result cache, where the racing ilp engines
-    — possibly in other processes — load them instead of recomputing.
-    Failures degrade silently to in-engine computation.
+    Runs only for nets that fail the structural nesting test: there the ilp
+    engine asks the FactBase for a dynamic conflict-freeness proof before it
+    may refine (``repro.core.verifier._facts_dcf``); nested nets never read
+    it.  Purely an optimisation pass: facts land in the in-process memo and
+    (when a cache is configured) in the result cache, where the racing ilp
+    engines — possibly in other processes — load them instead of
+    recomputing.  Failures degrade silently to in-engine computation.
     """
     if job.stg_hash in analyzed:
         return
+    from repro.core.verifier import structurally_nested
+
     analyzed[job.stg_hash] = True
+    if structurally_nested(job.stg.net):
+        return
     from repro.analysis import analyze
 
     started = time.perf_counter()

@@ -10,8 +10,8 @@ Checkable cases then run:
 
 * **differential**: every configured engine against the explicit state
   graph ground truth, per property — sound verdicts must agree;
-* **config axes**: the ilp engine re-run with ``use_facts``,
-  ``use_refinement``, ``workers`` and the result cache toggled, asserting
+* **config axes**: the ilp engine re-run with ``use_refinement``,
+  ``workers`` and the result cache toggled, asserting
   the determinism contracts pinned by the engine docs (byte-identical
   verdicts and witnesses everywhere; exact ``SearchStats`` parity on the
   workers axis for fully consumed searches — a found conflict cancels
@@ -77,7 +77,6 @@ class OracleConfig:
     #: undecided outcome, not a divergence).
     node_budget: int = 200_000
     max_events: int = 5_000
-    facts_every: int = 4
     refine_every: int = 8
     cache_every: int = 8
     workers_every: int = 64
@@ -163,7 +162,6 @@ def _ilp_report(
     prop: str,
     config: OracleConfig,
     workers: int = 0,
-    use_facts: bool = False,
     use_refinement: bool = False,
 ) -> CodingReport:
     check = check_usc if prop == "usc" else check_csc
@@ -171,7 +169,6 @@ def _ilp_report(
         stg,
         node_budget=config.node_budget,
         workers=workers,
-        use_facts=use_facts,
         use_refinement=use_refinement,
         unfolding_options=UnfoldingOptions(max_events=config.max_events),
     )
@@ -302,8 +299,6 @@ def _axis_oracles(
 ) -> None:
     """Re-run the ilp engine with config axes toggled; results must agree."""
     axes = []
-    if config.facts_every and case.index % config.facts_every == 0:
-        axes.append(("facts", {"use_facts": True}, False))
     if config.refine_every and case.index % config.refine_every == 0:
         axes.append(("refine", {"use_refinement": True}, False))
     if config.workers_every and case.index % config.workers_every == 0:

@@ -111,7 +111,7 @@ class RuleContext:
         """The structural :class:`~repro.analysis.FactBase` of the STG.
 
         Memoized per content hash inside :func:`repro.analysis.analyze`, so
-        the A4xx rules, the verifier's ``use_facts`` path and the CLI all
+        the A4xx rules, the verifier's refinement licence and the CLI all
         share one computation.
         """
         if self._facts is None:

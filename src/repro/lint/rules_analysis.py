@@ -5,7 +5,7 @@ Unlike the S2xx heuristics these rules consume the shared
 :class:`~repro.analysis.FactBase` — every negative claim they rely on
 (never co-enabled, dead transition, trap/siphon structure) is a
 :class:`~repro.analysis.Fact` with a machine-checkable justification.  The
-FactBase is memoized per content hash, so the verifier's ``use_facts`` path
+FactBase is memoized per content hash, so the verifier's refinement licence
 and the ``repro-stg analyze`` command reuse the same computation.
 
 Like the pre-filter tier, the rules stay silent on nets beyond the

@@ -2,7 +2,7 @@
 
 Solves ``max c x  s.t.  A x (<=|>=|==) b,  x >= 0`` with
 :class:`fractions.Fraction` arithmetic — no numerical tolerance games, which
-matters because the conflict-system prescreen must never declare a feasible
+matters because a certifying relaxation must never declare a feasible
 system infeasible.  Bland's rule guarantees termination.
 
 The implementation is the textbook dense tableau, but each row is stored
@@ -11,7 +11,7 @@ instead of per-cell :class:`~fractions.Fraction` objects: pivoting then
 runs on machine integers (one gcd-reduction per updated row) rather than
 constructing and normalising a ``Fraction`` per cell per pivot — the same
 exact values, the same Bland pivot sequence, several times faster on the
-separation-LP workload.  Problem sizes here are a few dozen
+nested-pair relaxation LPs.  Problem sizes here are a few dozen
 variables/constraints, where exact arithmetic is entirely affordable.
 """
 

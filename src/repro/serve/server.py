@@ -136,9 +136,25 @@ class Histogram:
         }
 
 
+#: ``(wall-clock, monotonic)`` seconds: one instant on both clocks.
+Stamp = Tuple[float, float]
+
+
+def _stamp() -> Stamp:
+    """Now, as wall-clock time for job documents and as monotonic time for
+    durations — a wall-clock step must never corrupt a histogram or evict
+    a job early."""
+    return time.time(), time.monotonic()
+
+
 @dataclass
 class ServeJob:
-    """One accepted ``POST /v1/check`` and everything that became of it."""
+    """One accepted ``POST /v1/check`` and everything that became of it.
+
+    ``submitted``/``started``/``finished`` are wall-clock timestamps for
+    the job document; the ``*_mono`` twins are what durations and the
+    retention TTL are computed from.
+    """
 
     id: str
     request: CheckRequest
@@ -146,6 +162,9 @@ class ServeJob:
     submitted: float = field(default_factory=time.time)
     started: Optional[float] = None
     finished: Optional[float] = None
+    submitted_mono: float = field(default_factory=time.monotonic, repr=False)
+    started_mono: Optional[float] = field(default=None, repr=False)
+    finished_mono: Optional[float] = field(default=None, repr=False)
     results: List[JobResult] = field(default_factory=list)
     error: Optional[str] = None
     #: Primary job id when this request was deduplicated in flight.
@@ -153,6 +172,9 @@ class ServeJob:
     #: Set once the job entered the service's terminal-retention window
     #: (guards against double-appending to the eviction order).
     noted_terminal: bool = field(default=False, repr=False)
+
+    def finish(self, stamp: Stamp) -> None:
+        self.finished, self.finished_mono = stamp
 
     def to_dict(self) -> Dict[str, Any]:
         document: Dict[str, Any] = {
@@ -225,7 +247,7 @@ class VerificationService:
         self._terminal_order: Deque[str] = deque()
         self.jobs_evicted = 0
         self._ids = itertools.count(1)
-        self._started_at = time.time()
+        self._started_mono = time.monotonic()
         self._draining = False
         self._closed = False
         self._crashed = False
@@ -265,7 +287,7 @@ class VerificationService:
         # follower registered afterwards would be silently dropped and poll
         # as 'queued' forever.
         with self._jobs_lock:
-            self._evict_terminal_locked(time.time())
+            self._evict_terminal_locked(time.monotonic())
             self._jobs[job.id] = job
         primary = self.dedup.acquire(key, job.id)
         if primary is not None:
@@ -305,30 +327,31 @@ class VerificationService:
             self._jobs.pop(job_id, None)
 
     def _fail_orphans(self, job_ids: List[str], reason: str) -> None:
-        now = time.time()
+        now = _stamp()
         with self._jobs_lock:
             for job_id in job_ids:
                 job = self._jobs.get(job_id)
                 if job is not None and job.state not in protocol.TERMINAL_STATES:
                     job.state = protocol.STATE_FAILED
                     job.error = reason
-                    job.finished = now
-                    self._note_terminal_locked(job, now)
+                    job.finish(now)
+                    self._note_terminal_locked(job)
             if job_ids:
                 self._published.notify_all()
 
     # -- terminal-job retention (all methods require _jobs_lock held) ----------
 
-    def _note_terminal_locked(self, job: ServeJob, now: float) -> None:
-        """Enter ``job`` into the bounded retention window of finished jobs."""
+    def _note_terminal_locked(self, job: ServeJob) -> None:
+        """Enter a finished ``job`` into the bounded retention window."""
         if job.noted_terminal:
             return
         job.noted_terminal = True
         self._terminal_order.append(job.id)
-        self._evict_terminal_locked(now)
+        self._evict_terminal_locked(time.monotonic())
 
     def _evict_terminal_locked(self, now: float) -> None:
-        """Drop finished jobs beyond :attr:`terminal_cap` / ``terminal_ttl``."""
+        """Drop finished jobs beyond :attr:`terminal_cap` / ``terminal_ttl``
+        (``now`` is monotonic)."""
         while self._terminal_order:
             job = self._jobs.get(self._terminal_order[0])
             if job is None:
@@ -337,8 +360,8 @@ class VerificationService:
             over_cap = len(self._terminal_order) > self.terminal_cap
             expired = (
                 self.terminal_ttl is not None
-                and job.finished is not None
-                and now - job.finished >= self.terminal_ttl
+                and job.finished_mono is not None
+                and now - job.finished_mono >= self.terminal_ttl
             )
             if not over_cap and not expired:
                 break
@@ -396,7 +419,7 @@ class VerificationService:
         cache_misses = self.cache.misses if self.cache else 0
         looked_up = cache_hits + cache_misses
         return protocol.envelope(
-            uptime_s=time.time() - self._started_at,
+            uptime_s=time.monotonic() - self._started_mono,
             ready=self.ready,
             draining=self._draining,
             jobs=states,
@@ -449,13 +472,13 @@ class VerificationService:
             with self._jobs_lock:
                 # fail everything non-terminal so pollers learn the truth
                 # now instead of spinning until their own timeouts
-                now = time.time()
+                now = _stamp()
                 for job in list(self._jobs.values()):
                     if job.state not in protocol.TERMINAL_STATES:
                         job.state = protocol.STATE_FAILED
                         job.error = "dispatcher crashed"
-                        job.finished = now
-                        self._note_terminal_locked(job, now)
+                        job.finish(now)
+                        self._note_terminal_locked(job)
                 self._published.notify_all()
             # swallow after recording: the crash lives on in _crashed (health
             # red), the log, and the failed jobs — re-raising into the thread
@@ -464,11 +487,11 @@ class VerificationService:
             self._drained.set()
 
     def _run_batch(self, entries: List[Tuple[Any, ServeJob]]) -> None:
-        now = time.time()
+        now = _stamp()
         with self._jobs_lock:
             for _, job in entries:
                 job.state = protocol.STATE_RUNNING
-                job.started = now
+                job.started, job.started_mono = now
         verification_jobs = []
         slices: List[Tuple[Any, ServeJob, int, int]] = []
         cert_cache_dir = (
@@ -507,7 +530,7 @@ class VerificationService:
         results: List[JobResult],
         error: Optional[str] = None,
     ) -> None:
-        finished = time.time()
+        finished = _stamp()
         followers = self.dedup.complete(key)
         with self._jobs_lock:
             targets = [job] + [
@@ -517,19 +540,21 @@ class VerificationService:
             for target in targets:
                 target.results = results
                 target.error = error
-                target.started = target.started or job.started
-                target.finished = finished
+                if target.started is None:  # a dedup follower
+                    target.started = job.started
+                    target.started_mono = job.started_mono
+                target.finish(finished)
                 target.state = (
                     protocol.STATE_FAILED if error else protocol.STATE_DONE
                 )
-                self._note_terminal_locked(target, finished)
+                self._note_terminal_locked(target)
             self._published.notify_all()
-        service_time = finished - job.submitted
+        service_time = finished[1] - job.submitted_mono
         self.queue.note_service_time(service_time)
         self.latency.observe(service_time)
-        if job.started is not None:
-            self.queue_wait.observe(job.started - job.submitted)
-            self.exec_time.observe(finished - job.started)
+        if job.started_mono is not None:
+            self.queue_wait.observe(job.started_mono - job.submitted_mono)
+            self.exec_time.observe(finished[1] - job.started_mono)
         logger.info(
             "job %s %s in %.3fs (%d follower(s))",
             job.id,
@@ -573,13 +598,13 @@ class VerificationService:
             dropped = self.queue.clear()
             ids = [job.id for _, job in dropped]
             with self._jobs_lock:
-                now = time.time()
+                now = _stamp()
                 for job in list(self._jobs.values()):
                     if job.state not in protocol.TERMINAL_STATES:
                         job.state = protocol.STATE_CANCELLED
                         job.error = job.error or "service shut down"
-                        job.finished = now
-                        self._note_terminal_locked(job, now)
+                        job.finish(now)
+                        self._note_terminal_locked(job)
                 self._published.notify_all()
             self.pool.shutdown()
             self._drained.wait(timeout)

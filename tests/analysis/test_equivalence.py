@@ -1,10 +1,12 @@
-"""Golden equivalence: use_facts must never change a verdict or witness.
+"""Golden equivalence: the facts engine must never change a verdict or witness.
 
-The facts-driven capacity tables and prescreens only tighten *bounds* and
-skip provably empty searches — branching order is untouched, so the
-verdicts, witnesses and USC-only candidate counts must be byte-identical
-to the plain run on every model.  The two slowest CF instances are left to
-the benchmark harness; everything else from Table 1 is pinned here.
+The verifier reads the FactBase in one place: on nets that fail the
+structural nesting test, a facts-proven dynamic conflict-freeness licenses
+the refinement prescreen.  That prescreen only skips provably empty
+searches, so the verdicts, witnesses and USC-only candidate counts must be
+byte-identical to the plain run on every model, starting from a cold
+analysis memo.  The two slowest CF instances are left to the benchmark
+harness; everything else from Table 1 is pinned here.
 """
 
 import pytest
@@ -45,16 +47,16 @@ def _fingerprint(result):
 def test_usc_verdicts_identical(name):
     stg = TABLE1_BENCHMARKS[name]()
     plain = check_usc(stg)
-    with_facts = check_usc(stg, use_facts=True)
-    assert _fingerprint(with_facts) == _fingerprint(plain)
+    licensed = check_usc(stg, use_refinement=True)
+    assert _fingerprint(licensed) == _fingerprint(plain)
 
 
 @pytest.mark.parametrize("name", FAST_MODELS)
 def test_csc_verdicts_identical(name):
     stg = TABLE1_BENCHMARKS[name]()
     plain = check_csc(stg)
-    with_facts = check_csc(stg, use_facts=True)
-    assert _fingerprint(with_facts) == _fingerprint(plain)
+    licensed = check_csc(stg, use_refinement=True)
+    assert _fingerprint(licensed) == _fingerprint(plain)
 
 
 @pytest.mark.parametrize("name", ["RING", "LAZYRING", "DUP-MOD-A"])

@@ -1,12 +1,14 @@
-"""Tests for the kernel / LP relaxation prescreens."""
+"""Tests for the kernel prescreen and the LP relaxation of repro.refine."""
 
 import pytest
 
 from repro.core import check_usc
 from repro.core.context import SolverContext
-from repro.core.prescreen import kernel_prescreen, lp_prescreen
+from repro.core.prescreen import kernel_prescreen
+from repro.core.window import WindowSearch
 from repro.models import TABLE1_BENCHMARKS, vme_bus
 from repro.models._build import seq
+from repro.refine import refine_prescreen
 from repro.stg.stategraph import build_state_graph
 from repro.stg.stg import STG, SignalEdge
 from repro.unfolding import unfold
@@ -52,16 +54,21 @@ class TestKernel:
 
 
 class TestLP:
-    def test_conclusive_on_toggle(self):
-        ctx = SolverContext(unfold(toggle_stg()))
-        assert lp_prescreen(ctx) is False
+    """The ``[0,1]``-box LP with integral rounding (:mod:`repro.refine`)."""
 
-    def test_fractional_solutions_defeat_it(self):
-        """Even the box+compatibility relaxation admits half-integral
-        windows on a plain handshake — relaxations alone cannot decide
-        coding conflicts."""
+    def test_conclusive_on_toggle(self):
+        pytest.importorskip("scipy")
+        ctx = SolverContext(unfold(toggle_stg()))
+        assert refine_prescreen(ctx).refuted
+
+    def test_rounding_settles_the_handshake(self):
+        """The box relaxation admits half-integral windows on a plain
+        handshake, but every optimum stays below 1, so rounding refutes
+        the system where the kernel test cannot."""
+        pytest.importorskip("scipy")
         ctx = SolverContext(unfold(handshake_stg()))
-        assert lp_prescreen(ctx) is None
+        assert kernel_prescreen(ctx) is None
+        assert refine_prescreen(ctx).refuted
 
 
 class TestSoundness:
@@ -74,15 +81,18 @@ class TestSoundness:
         """A conclusive prescreen must agree with the oracle."""
         stg = builder()
         ctx = SolverContext(unfold(stg))
-        for screen in (kernel_prescreen, lp_prescreen):
-            if screen(ctx) is False:
-                assert build_state_graph(stg).has_usc()
+        if kernel_prescreen(ctx) is False or refine_prescreen(ctx).refuted:
+            assert build_state_graph(stg).has_usc()
 
     def test_check_usc_with_prescreens(self):
         stg = toggle_stg()
-        for prescreen in ("kernel", "lp", None):
-            report = check_usc(stg, prescreen=prescreen)
-            assert report.holds
-        # the conclusive prescreen answers without any search nodes
-        assert check_usc(stg, prescreen="kernel").search_stats.nodes == 0
-        assert check_usc(stg, prescreen=None).search_stats.nodes > 0
+        ctx = SolverContext(unfold(stg))
+        report = check_usc(stg)
+        assert report.holds
+        # the conclusive kernel test answers without any search nodes ...
+        assert kernel_prescreen(ctx) is False
+        assert report.search_stats.nodes == 0
+        # ... where the window search it skips has to walk the tree
+        search = WindowSearch(ctx)
+        assert list(search.solutions()) == []
+        assert search.stats.nodes > 0

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.engine.cache import SCHEMA_VERSION, ResultCache
 from repro.engine.jobs import (
     VERDICT_TIMEOUT,
@@ -275,128 +277,144 @@ class TestConcurrentWriters:
 
 
 class TestRefineDomains:
-    """The v4 refine-cert / refine-cuts key domains."""
+    """The refine-cert key domain."""
 
     _HASH = "a" * 64
 
-    def _cert_body(self, cuts_after=0):
-        return {
-            "bound": {"place": "p", "sign": 1, "y_eq": {}, "y_ub": {}},
-            "cuts_after": cuts_after,
-            "cuts_referenced": cuts_after > 0,
-        }
+    def _cert_body(self):
+        return {"bound": {"place": "p", "sign": 1, "y_eq": {}, "y_ub": {}}}
 
     def test_cert_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is None
+        assert cache.get_refine_cert(self._HASH, "p", 1) is None
         assert cache.misses == 1
-        assert cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        body = cache.get_refine_cert(self._HASH, "p", 1, "h")
+        assert cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        body = cache.get_refine_cert(self._HASH, "p", 1)
         assert body == self._cert_body()
         assert cache.hits == 1
 
-    def test_cert_key_separates_place_sign_and_cut_state(self, tmp_path):
+    def test_cert_key_separates_place_and_sign(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        assert cache.get_refine_cert(self._HASH, "q", 1, "h") is None
-        assert cache.get_refine_cert(self._HASH, "p", -1, "h") is None
-        assert cache.get_refine_cert(self._HASH, "p", 1, "other") is None
-        assert cache.get_refine_cert("b" * 64, "p", 1, "h") is None
-
-    def test_cuts_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get_refine_cuts(self._HASH) is None
-        log = [{"kind": "trap", "places": ["p0"], "marked": True}]
-        assert cache.put_refine_cuts(self._HASH, log)
-        assert cache.get_refine_cuts(self._HASH) == log
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        assert cache.get_refine_cert(self._HASH, "q", 1) is None
+        assert cache.get_refine_cert(self._HASH, "p", -1) is None
+        assert cache.get_refine_cert("b" * 64, "p", 1) is None
 
     def test_domains_never_collide_with_results(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = _job()
         cache.put(job, execute_engine(job, "sg"))
-        cache.put_refine_cert(
-            job.stg_hash, "p", 1, "h", self._cert_body()
-        )
-        cache.put_refine_cuts(job.stg_hash, [])
-        assert len(cache) == 3
+        cache.put_refine_cert(job.stg_hash, "p", 1, self._cert_body())
+        assert len(cache) == 2
         assert cache.get(job) is not None
 
     def test_stats_by_domain(self, tmp_path):
         cache = ResultCache(tmp_path)
         job = _job()
         cache.put(job, execute_engine(job, "sg"))
-        cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        cache.put_refine_cuts(self._HASH, [])
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
         by_domain = cache.stats()["by_domain"]
-        assert by_domain == {
-            "result": 1,
-            "refine-cert": 1,
-            "refine-cuts": 1,
-        }
+        assert by_domain == {"result": 1, "refine-cert": 1}
 
     def test_corrupt_cert_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_refine_cert(self._HASH, "p", 1, "h", self._cert_body())
-        key = cache.refine_cert_key_for(self._HASH, "p", 1, "h")
+        cache.put_refine_cert(self._HASH, "p", 1, self._cert_body())
+        key = cache.refine_cert_key_for(self._HASH, "p", 1)
         path = cache._path(key)
         path.write_text("{not json")
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is None
+        assert cache.get_refine_cert(self._HASH, "p", 1) is None
 
 
-class TestPruneConsistency:
-    """Pruning must never leave certs pointing at a vanished cut log."""
+class TestSchemaV4RefineEntries:
+    """A cache directory written by schema v4, which also kept per-STG cut
+    logs and keyed certificates by cut state: its refine entries are dead
+    weight that reads as misses, still shows in ``stats`` and ages out."""
 
     _HASH = "c" * 64
 
-    def _populate(self, cache, cuts_referenced):
-        cache.put_refine_cuts(
-            self._HASH, [{"kind": "trap", "places": ["p"], "marked": True}]
-        )
-        cache.put_refine_cert(
-            self._HASH,
-            "p",
-            1,
-            "h",
-            {
-                "bound": {"place": "p", "sign": 1, "y_eq": {}, "y_ub": {}},
-                "cuts_after": 1 if cuts_referenced else 0,
-                "cuts_referenced": cuts_referenced,
-            },
-        )
+    @staticmethod
+    def _v4_key(material: str) -> str:
+        import hashlib
 
-    def test_orphaned_referencing_cert_is_removed(self, tmp_path):
+        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+    def _populate(self, cache, stg_hash=_HASH, place="p"):
+        bound = {"place": place, "sign": 1, "y_eq": {}, "y_ub": {}}
+        cert = {
+            "schema": 4,
+            "domain": "refine-cert",
+            "property": "refine-cert",
+            "verdict": "certificate",
+            "refine_version": 1,
+            "stg_hash": stg_hash,
+            "cut_hash": "h",
+            "cuts_referenced": True,
+            "body": {"bound": bound, "cuts_after": 1, "cuts_referenced": True},
+        }
+        cuts = {
+            "schema": 4,
+            "domain": "refine-cuts",
+            "property": "refine-cuts",
+            "verdict": "cuts",
+            "stg_hash": stg_hash,
+            "body": [{"version": 1, "kind": "trap", "places": ["p"], "marked": True}],
+        }
+        paths = [
+            cache._path(
+                self._v4_key(f"repro-refine-cert:v4\n{stg_hash}\n{place}\n1\nh\n")
+            ),
+            cache._path(self._v4_key(f"repro-refine-cuts:v4\n{stg_hash}\n")),
+            # a v4 payload found under today's key must not be trusted either
+            cache._path(cache.refine_cert_key_for(stg_hash, place, 1)),
+        ]
+        for path, payload in zip(paths, (cert, cuts, cert)):
+            assert cache._write_atomic(path, payload)
+        return paths
+
+    def test_read_as_misses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._populate(cache)
+        assert cache.get_refine_cert(self._HASH, "p", 1) is None
+        assert cache.misses == 1 and cache.hits == 0
+
+    def test_counted_by_stats(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._populate(cache)
+        stats = cache.stats()
+        assert stats["entries"] == 3
+        assert stats["by_schema"] == {"4": 3}
+        assert stats["by_domain"] == {"refine-cert": 2, "refine-cuts": 1}
+
+    def test_pruned_by_age_like_any_entry(self, tmp_path):
         import os
         import time
 
         cache = ResultCache(tmp_path)
-        self._populate(cache, cuts_referenced=True)
-        # age only the cut log past the cutoff: the age sweep removes it,
-        # then the consistency pass must take the referencing cert with it
-        log_path = cache._path(cache.refine_cuts_key_for(self._HASH))
+        paths = self._populate(cache)
+        fresh = _job()
+        cache.put(fresh, execute_engine(fresh, "sg"))
         old = time.time() - 3600
-        os.utime(log_path, (old, old))
-        removed = cache.prune(older_than=60)
-        assert removed == 2
-        assert cache.get_refine_cuts(self._HASH) is None
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is None
+        for path in paths[:2]:
+            os.utime(path, (old, old))
+        assert cache.prune(older_than=60) == 2
+        assert sorted(cache.stats()["by_domain"].items()) == [
+            ("refine-cert", 1),
+            ("result", 1),
+        ]
+        assert cache.prune(older_than=0, now=time.time() + 1) == 2
+        assert len(cache) == 0
 
-    def test_cut_free_cert_survives_log_removal(self, tmp_path):
-        import os
-        import time
+    def test_refinement_resolves_instead_of_replaying(self, tmp_path):
+        pytest.importorskip("scipy")
+        from repro.core.context import SolverContext
+        from repro.refine import refine_prescreen
+        from repro.unfolding import unfold
 
+        stg = TABLE1_BENCHMARKS["CF-SYM-A-CSC"]()
         cache = ResultCache(tmp_path)
-        self._populate(cache, cuts_referenced=False)
-        log_path = cache._path(cache.refine_cuts_key_for(self._HASH))
-        old = time.time() - 3600
-        os.utime(log_path, (old, old))
-        removed = cache.prune(older_than=60)
-        assert removed == 1
-        # a bound certified under zero cuts replays without any log
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is not None
-
-    def test_fresh_pair_untouched(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._populate(cache, cuts_referenced=True)
-        assert cache.prune(older_than=3600) == 0
-        assert cache.get_refine_cuts(self._HASH) is not None
-        assert cache.get_refine_cert(self._HASH, "p", 1, "h") is not None
+        net = stg.net
+        for place in map(net.place_name, range(net.num_places)):
+            self._populate(cache, stg.content_hash(), place)
+        outcome = refine_prescreen(SolverContext(unfold(stg)), cert_store=cache)
+        assert outcome.refuted
+        assert outcome.cert_cache_hits == 0

@@ -151,3 +151,30 @@ class TestDeterminism:
         (second,), _ = race([job], max_workers=0)
         assert first.signature() == second.signature()
         assert first.elapsed > 0 and second.elapsed > 0
+
+
+class TestAnalysisStage:
+    """The FactBase warm-up runs only where the ilp engine will read it:
+    refinement jobs on nets that fail the structural nesting test."""
+
+    def _analysis_passes(self, name, use_refinement=True):
+        job = VerificationJob(
+            stg=TABLE1_BENCHMARKS[name](),
+            property="usc",
+            engines=("ilp",),
+            use_refinement=use_refinement,
+        )
+        (result,), events = race([job], max_workers=0)
+        assert result.holds == TABLE1_VERDICTS[name]["usc"]
+        return events.of_kind(ev.ANALYSIS_PASS)
+
+    def test_nested_refine_job_skips_the_analysis(self):
+        assert self._analysis_passes("DUP-MOD-A") == []
+
+    def test_non_nested_refine_job_warms_the_facts(self):
+        passes = self._analysis_passes("DUP-4PH-MTR-A")
+        assert len(passes) == 1
+        assert passes[0].detail.endswith("facts")
+
+    def test_plain_job_skips_the_analysis(self):
+        assert self._analysis_passes("DUP-4PH-MTR-A", use_refinement=False) == []

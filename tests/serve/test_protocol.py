@@ -121,6 +121,14 @@ class TestParseCheckRequest:
         with pytest.raises(ProtocolError, match=match):
             parse_check_request(payload)
 
+    def test_unknown_keys_are_ignored(self):
+        """``use_facts`` (a field of older clients) is just another
+        unknown key: accepted, ignored, and invisible to dedup."""
+        plain = parse_check_request({"schema": SCHEMA, "model": "RING"})
+        for extra in ({"use_facts": True}, {"use_facts": "yes"}, {"x-trace": 1}):
+            request = parse_check_request(dict(extra, schema=SCHEMA, model="RING"))
+            assert request.dedup_key() == plain.dedup_key()
+
     def test_properties_deduped_and_lowered(self):
         request = parse_check_request(
             {"schema": SCHEMA, "model": "RING", "properties": ["CSC", "usc", "csc"]}

@@ -396,6 +396,62 @@ class TestTerminalRetention:
             service.close(timeout=10.0, cancel=True)
 
 
+class _SteppedWallClock:
+    """Stand-in for the ``time`` module of :mod:`repro.serve.server` whose
+    wall clock runs ``offset`` seconds off; every other clock is real."""
+
+    def __init__(self, offset=0.0, step=0.0):
+        self.offset = offset
+        self.step = step  # added to the offset after every wall-clock read
+
+    def time(self):
+        now = time.time() + self.offset
+        self.offset += self.step
+        return now
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+class TestWallClockSteps:
+    """Durations and retention run on the monotonic clock; only the job
+    documents carry wall-clock timestamps."""
+
+    def test_backward_steps_record_no_negative_duration(self, monkeypatch):
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "time", _SteppedWallClock(step=-3600.0))
+        service = make_service()
+        try:
+            done = submit_and_wait(service, {"model": "RING"})
+            assert done.finished < done.started  # the wall clock went back
+            latency = service.metrics()["latency"]
+            for name in ("total", "queue_wait", "exec"):
+                assert latency[name]["count"] == 1
+                assert 0.0 <= latency[name]["sum_s"] < 60.0, name
+            assert service.metrics()["uptime_s"] >= 0.0
+        finally:
+            service.close(timeout=10.0, cancel=True)
+
+    def test_backward_step_does_not_evict_a_job_early(self, monkeypatch):
+        from repro.serve import server
+
+        clock = _SteppedWallClock(offset=-3600.0)
+        monkeypatch.setattr(server, "time", clock)
+        service = make_service(terminal_ttl=900.0)
+        try:
+            # the job finishes while the wall clock runs an hour behind ...
+            done = submit_and_wait(service, {"model": "RING"})
+            # ... then the clock is stepped back to the right time, and the
+            # next admission sweeps the retention window
+            clock.offset = 0.0
+            submit_and_wait(service, {"model": "LAZYRING"})
+            assert service.get(done.id) is not None
+            assert service.metrics()["jobs_evicted"] == 0
+        finally:
+            service.close(timeout=10.0, cancel=True)
+
+
 class TestMetrics:
     def test_document_shape_and_counters(self, service):
         submit_and_wait(service, {"model": "RING", "properties": ["usc", "csc"]})
