@@ -63,9 +63,6 @@ DEFAULT_THRESHOLD = 0.20
 class Case:
     """One benchmark case: verify ``prop`` on ``family(size)``.
 
-    ``workers > 0`` runs the frontier-split parallel search of
-    :mod:`repro.core.parallel` and suffixes the case id with ``/w=N`` so
-    sequential and parallel timings coexist in one report.
     ``refine=True`` turns on the :mod:`repro.refine` prescreen
     (``use_refinement=``, suffix ``/r=1``) — verdicts are identical by
     contract, so the axis isolates the prescreen's overhead/payoff.
@@ -76,23 +73,17 @@ class Case:
         family: str,
         size: int,
         prop: str,
-        workers: int = 0,
         refine: bool = False,
     ):
         self.family = family
         self.size = size
         self.prop = prop
-        self.workers = workers
         self.refine = refine
-        suffix = f"/w={workers}" if workers > 0 else ""
-        suffix += "/r=1" if refine else ""
+        suffix = "/r=1" if refine else ""
         self.case_id = f"{family}/n={size}/{prop}{suffix}"
 
-    def with_workers(self, workers: int) -> "Case":
-        return Case(self.family, self.size, self.prop, workers, self.refine)
-
     def with_refine(self, refine: bool) -> "Case":
-        return Case(self.family, self.size, self.prop, self.workers, refine)
+        return Case(self.family, self.size, self.prop, refine)
 
     def build(self):
         from repro.models.counterflow import counterflow_pipeline
@@ -119,7 +110,6 @@ class Case:
         check = check_usc if self.prop == "usc" else check_csc
         return check(
             prefix,
-            workers=self.workers,
             use_refinement=self.refine,
             cert_cache=cert_cache,
         ).holds
@@ -222,7 +212,6 @@ def measure_case(case: Case, warmup: int, repeat: int) -> Dict[str, object]:
         "family": case.family,
         "size": case.size,
         "property": case.prop,
-        "workers": case.workers,
         "refine": case.refine,
         "holds": holds,
         "repeats": repeat,
@@ -364,7 +353,6 @@ def measure_serve_case(
         "family": case.family,
         "size": case.size,
         "property": case.prop,
-        "workers": 0,
         "clients": clients,
         "holds": all(holds_seen),
         "repeats": total_requests,
@@ -384,14 +372,11 @@ def run_suite(
     warmup: int = 1,
     repeat: int = 5,
     families: Optional[Sequence[str]] = None,
-    workers: Sequence[int] = (0,),
     serve_clients: Sequence[int] = (),
     refine: Sequence[int] = (0,),
 ) -> Dict[str, object]:
     """Run the suite and return the full schema-versioned report dict.
 
-    ``workers`` is the worker-count axis: each case is measured once per
-    entry (0 = sequential), so e.g. ``(0, 2)`` records the speedup pair.
     ``serve_clients`` is the concurrency axis of the HTTP serving scenario:
     each quick-suite case is additionally pushed through a live
     ``repro.serve`` instance once per client count (e.g. ``(1, 4, 16)``).
@@ -401,13 +386,9 @@ def run_suite(
     suite = QUICK_SUITE if quick else SUITE
     if families:
         suite = [case for case in suite if case.family in families]
-    axis = list(dict.fromkeys(workers)) or [0]
     refine_axis = list(dict.fromkeys(refine)) or [0]
     timed = [
-        case.with_workers(w).with_refine(bool(r))
-        for case in suite
-        for w in axis
-        for r in refine_axis
+        case.with_refine(bool(r)) for case in suite for r in refine_axis
     ]
     results = []
     for case in timed:
@@ -451,8 +432,8 @@ _RESULT_FIELDS = {
     "size": int,
     "property": str,
     "holds": bool,
-    # "workers" is optional (reports predating the axis omit it) and
-    # checked separately below.
+    # "workers" only appears in reports from when the harness had that
+    # axis, and is checked separately below.
     "repeats": int,
     "median_s": (int, float),
     "min_s": (int, float),
@@ -618,7 +599,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         warmup=args.warmup,
         repeat=args.repeat,
         families=args.families,
-        workers=args.workers or [0],
         serve_clients=args.serve_clients or [],
         refine=args.refine or [0],
     )
@@ -681,14 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
             nargs="*",
             metavar="FAMILY",
             help="restrict to these model families",
-        )
-        p.add_argument(
-            "--workers",
-            nargs="*",
-            type=int,
-            metavar="N",
-            help="worker-count axis: measure each case once per value "
-            "(default: 0 = sequential only; e.g. --workers 0 2)",
         )
         p.add_argument(
             "--serve-clients",

@@ -160,9 +160,7 @@ def _check_property(stg, prop: str, args: argparse.Namespace) -> bool:
         if args.portfolio:
             holds = _check_portfolio(stg, prop, args)
         else:
-            holds = _check_normalcy(
-                stg, args.method, args.node_budget, args.workers
-            )
+            holds = _check_normalcy(stg, args.method, args.node_budget)
         print(f"normalcy: {'OK' if holds else 'VIOLATED'}")
         return holds
     if prop in ("usc", "csc"):
@@ -171,7 +169,7 @@ def _check_property(stg, prop: str, args: argparse.Namespace) -> bool:
         else:
             holds = _check_coding(
                 stg, prop, args.method, args.verbose, args.node_budget,
-                args.workers, use_refinement=getattr(args, "refine", False),
+                use_refinement=getattr(args, "refine", False),
             )
         print(f"{prop.upper()}: {'OK' if holds else 'CONFLICT'}")
         return holds
@@ -189,7 +187,6 @@ def _check_portfolio(stg, prop: str, args: argparse.Namespace) -> bool:
         engines=engines,
         timeout=args.timeout,
         node_budget=args.node_budget,
-        workers=getattr(args, "workers", 0),
         use_refinement=getattr(args, "refine", False),
     )
     with WorkerPool(max_workers=len(engines)) as pool:
@@ -212,15 +209,13 @@ def _check_coding(
     method: str,
     verbose: bool,
     node_budget: Optional[int] = None,
-    workers: int = 0,
     use_refinement: bool = False,
 ) -> bool:
     if method == "ilp":
         from repro.core import check_csc, check_usc
 
         report = (check_usc if prop == "usc" else check_csc)(
-            stg, node_budget=node_budget, workers=workers,
-            use_refinement=use_refinement,
+            stg, node_budget=node_budget, use_refinement=use_refinement
         )
         if verbose and report.witness is not None:
             print(f"  witness: {report.witness.describe()}")
@@ -265,15 +260,11 @@ def _check_coding(
     raise ReproError(f"unknown method {method!r}")
 
 
-def _check_normalcy(
-    stg, method: str, node_budget: Optional[int] = None, workers: int = 0
-) -> bool:
+def _check_normalcy(stg, method: str, node_budget: Optional[int] = None) -> bool:
     if method in ("ilp",):
         from repro.core import check_normalcy
 
-        return check_normalcy(
-            stg, node_budget=node_budget, workers=workers
-        ).normal
+        return check_normalcy(stg, node_budget=node_budget).normal
     from repro.stg.normalcy import check_normalcy_state_graph
 
     return check_normalcy_state_graph(stg).normal
@@ -403,11 +394,10 @@ def _refine_detail(snapshot) -> dict:
 
 
 def _profile_property(stg, prop: str, args: argparse.Namespace) -> bool:
-    workers = getattr(args, "workers", 0)
     if prop == "normalcy":
-        return _check_normalcy(stg, args.method, args.node_budget, workers)
+        return _check_normalcy(stg, args.method, args.node_budget)
     return _check_coding(
-        stg, prop, args.method, False, args.node_budget, workers,
+        stg, prop, args.method, False, args.node_budget,
         use_refinement=getattr(args, "refine", False),
     )
 
@@ -518,7 +508,6 @@ def _run_batch_cmd(args: argparse.Namespace) -> int:
         engines=engines,
         timeout=args.timeout,
         node_budget=args.node_budget,
-        workers=args.workers,
     )
     cache_dir = None if args.no_cache else (args.cache_dir or str(default_cache_dir()))
     report = run_batch(
@@ -954,14 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nodes",
     )
     check.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="split the IP search tree over N worker processes "
-        "(default: 0 = sequential; ilp method only)",
-    )
-    check.add_argument(
         "--refine",
         action="store_true",
         help="run the refinement prescreen (repro.refine) before the IP "
@@ -1010,13 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--node-budget", type=int, metavar="N", help="IP search node budget"
-    )
-    profile.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="intra-check search workers (default: 0 = sequential)",
     )
     profile.add_argument(
         "--refine",
@@ -1077,14 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--node-budget", type=int, metavar="N", help="IP search node budget"
-    )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="intra-check search workers per ilp job (default: 0 = "
-        "sequential; multiplies with --jobs)",
     )
     batch.add_argument(
         "--retries",

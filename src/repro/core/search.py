@@ -33,11 +33,6 @@ Implementation: the descent is an *iterative* explicit-stack loop — one
 preallocated frame per depth, no recursion, no generator chain — driven by
 precomputed per-position branch tables (the legal ``(a, b)`` successor
 options with the signal delta and the balance-pruning interval folded in).
-Any subtree can be packaged as a picklable :class:`SearchShard` (the resume
-index plus the partial assignment state) and resumed later, in another
-process, via :meth:`PairSearch.solutions_from`; :meth:`PairSearch.frontier_from`
-splits a shard into the consistent partial assignments at a deeper index,
-which is how :mod:`repro.core.parallel` fans one check out over workers.
 
 Observability: the search keeps its own :class:`SearchStats` (node, leaf,
 prune and solution counts — the ablation benchmarks read these directly);
@@ -50,18 +45,14 @@ carries no instrumentation at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
-from repro.exceptions import SolverError, SolverLimitError
-from repro.core.context import SolverContext, SolverSnapshot
+from repro.exceptions import SolverLimitError
+from repro.core.context import SolverContext
 
 #: Constraint placed on the per-signal code difference ``Code(x')-Code(x'')``.
 MODE_EQUAL = "equal"   # USC / CSC: difference must vanish
 MODE_LEQ = "leq"       # normalcy: Code(x') <= Code(x'') componentwise
-
-#: Either the full prefix view or its picklable slice — the searches only
-#: touch the shared table attributes, so both work interchangeably.
-ContextLike = Union[SolverContext, SolverSnapshot]
 
 #: Sentinel bound for disabled interval pruning (never exceeded).
 _NO_BOUND = 1 << 62
@@ -78,30 +69,12 @@ class SearchStats:
     solutions: int = 0
 
     def merge(self, other: "SearchStats") -> None:
-        """Accumulate another run's counters (shard merging)."""
+        """Accumulate another run's counters."""
         self.nodes += other.nodes
         self.leaves += other.leaves
         self.pruned_balance += other.pruned_balance
         self.pruned_structure += other.pruned_structure
         self.solutions += other.solutions
-
-
-@dataclass(frozen=True)
-class SearchShard:
-    """A picklable resume point of the pair search: the subtree rooted at the
-    partial assignment ``(ones_a, ones_b)`` of positions ``< resume_index``.
-
-    ``diff`` is the per-signal code difference of the partial assignment and
-    ``differed`` whether the two vectors already differ (the symmetry-breaking
-    state) — exactly the state the descent threads through its frames, so a
-    shard resumes bit-for-bit where the frontier enumeration stopped.
-    """
-
-    resume_index: int
-    ones_a: int
-    ones_b: int
-    diff: Tuple[int, ...]
-    differed: bool
 
 
 class PairSearch:
@@ -136,7 +109,7 @@ class PairSearch:
 
     def __init__(
         self,
-        context: ContextLike,
+        context: SolverContext,
         mode: str = MODE_EQUAL,
         nested_only: bool = False,
         use_balance_pruning: bool = True,
@@ -178,16 +151,6 @@ class PairSearch:
 
     # -- public API -------------------------------------------------------------
 
-    def root_shard(self) -> SearchShard:
-        """The shard covering the whole search tree."""
-        return SearchShard(
-            resume_index=0,
-            ones_a=0,
-            ones_b=0,
-            diff=(0,) * self.context.num_signals,
-            differed=False,
-        )
-
     def solutions(self) -> Iterator[Tuple[int, int]]:
         """Yield all pairs of position masks satisfying the code constraint
         (plus compatibility and the cut-off constraints), lazily.
@@ -197,25 +160,7 @@ class PairSearch:
         CSC, ``Nxt`` comparisons for normalcy — to each candidate, which is
         exactly the paper's strategy of checking those directly on the STG.
         """
-        return self.solutions_from(self.root_shard())
-
-    def solutions_from(self, shard: SearchShard) -> Iterator[Tuple[int, int]]:
-        """Resume the enumeration inside ``shard`` (its subtree only)."""
-        return self._walk(shard, None)  # type: ignore[return-value]
-
-    def frontier_from(self, shard: SearchShard, depth: int) -> List[SearchShard]:
-        """Split ``shard`` into the consistent partial assignments at position
-        ``depth`` (clamped to ``num_vars``), in descent order.
-
-        Dead prefixes — partial assignments killed by order propagation or
-        balance pruning — are never emitted, and the internal nodes walked
-        here are counted into :attr:`stats` exactly once, so frontier stats
-        plus per-shard stats add up to the sequential totals.
-        """
-        stop = min(depth, self.context.num_vars)
-        if shard.resume_index >= stop:
-            return [shard]
-        return list(self._walk(shard, stop))  # type: ignore[arg-type]
+        return self._walk()
 
     # -- the iterative hot loop --------------------------------------------------
 
@@ -275,19 +220,11 @@ class PairSearch:
         self._branch_plain = plain
         self._branch_sym = sym
 
-    def _walk(
-        self, shard: SearchShard, stop: Optional[int]
-    ) -> Iterator[Union[Tuple[int, int], SearchShard]]:
-        """The iterative descent over ``shard``'s subtree.
-
-        With ``stop is None`` runs to the leaves and yields solution pairs;
-        with ``stop = k`` yields uncounted :class:`SearchShard` resume points
-        at position ``k`` instead (frontier splitting).
-        """
+    def _walk(self) -> Iterator[Tuple[int, int]]:
+        """The iterative descent from the empty assignment to the leaves."""
         context = self.context
         num_vars = context.num_vars
-        start = shard.resume_index
-        depth_cap = num_vars - start + 1
+        depth_cap = num_vars + 1
         mode_equal = self.mode == MODE_EQUAL
         propagate = self.use_order_propagation
         budget = self.node_budget if self.node_budget is not None else _NO_BOUND
@@ -301,21 +238,11 @@ class PairSearch:
 
         # token-flow delta of the difference set C''\C' on movable places
         # (refinement tightening; (0, 1) options are the only contributors)
-        movable_delta: List[int] = []
+        movable_delta = [0] * context.num_places if movable is not None else []
         movable_nonzero = 0
-        if movable is not None:
-            movable_delta = [0] * context.num_places
-            mask = shard.ones_b & ~shard.ones_a
-            while mask:
-                low = mask & -mask
-                for place, d in movable_flows[low.bit_length() - 1]:
-                    movable_delta[place] += d
-                mask ^= low
-            movable_nonzero = sum(1 for value in movable_delta if value)
 
-        diff = list(shard.diff)
-        # one preallocated frame per depth (the descent advances the index by
-        # exactly one, so depth identifies the position being decided)
+        diff = [0] * context.num_signals
+        # one preallocated frame per depth; depth is the position being decided
         ones_a = [0] * depth_cap
         ones_b = [0] * depth_cap
         differed = [False] * depth_cap
@@ -328,8 +255,6 @@ class PairSearch:
         undo_sig = [0] * depth_cap
         undo_dd = [0] * depth_cap
         undo_flow: List[Tuple[Tuple[int, int], ...]] = [()] * depth_cap
-        ones_a[0], ones_b[0] = shard.ones_a, shard.ones_b
-        differed[0] = shard.differed
 
         nodes = leaves = pruned = pruned_struct = found = 0
         depth = 0
@@ -337,33 +262,7 @@ class PairSearch:
         try:
             while depth >= 0:
                 if fresh:
-                    index = start + depth
-                    if stop is not None and index == stop:
-                        # emit a resume point; the node itself is counted by
-                        # whoever descends into the shard, not here
-                        yield SearchShard(
-                            resume_index=index,
-                            ones_a=ones_a[depth],
-                            ones_b=ones_b[depth],
-                            diff=tuple(diff),
-                            differed=differed[depth],
-                        )
-                        dd = undo_dd[depth]
-                        if dd:
-                            diff[undo_sig[depth]] -= dd
-                        if movable is not None:
-                            for place, d in undo_flow[depth]:
-                                before = movable_delta[place]
-                                after = before - d
-                                movable_delta[place] = after
-                                if before == 0:
-                                    if after:
-                                        movable_nonzero += 1
-                                elif after == 0:
-                                    movable_nonzero -= 1
-                        depth -= 1
-                        fresh = False
-                        continue
+                    index = depth
                     nodes += 1
                     if nodes > budget:
                         raise SolverLimitError(
@@ -463,7 +362,7 @@ class PairSearch:
                         undo_dd[child] = 0
                     if movable is not None:
                         mflows = (
-                            movable_flows[start + depth]
+                            movable_flows[depth]
                             if bbit and not abit
                             else ()
                         )
@@ -517,11 +416,6 @@ class PairSearch:
         from repro.core.closure import is_compatible
 
         context = self.context
-        if not isinstance(context, SolverContext):
-            raise SolverError(
-                "leaf compatibility validation needs the full SolverContext "
-                "(snapshots carry no relations); keep order propagation on"
-            )
         for mask in (ones_a, ones_b):
             events = 0
             for e in context.positions_to_events(mask):

@@ -15,12 +15,13 @@ candidate solution.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.context import SolverContext
 from repro.core.search import MODE_EQUAL, MODE_LEQ, PairSearch, SearchStats
+from repro.core.window import WindowSearch
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.stg.stg import STG
@@ -120,51 +121,14 @@ def _flush_search_stats(stats: SearchStats) -> None:
     tracer.incr("search.solutions", stats.solutions)
 
 
-def _make_search(
-    context: SolverContext,
-    kind: str,
-    mode: str = MODE_EQUAL,
-    nested_only: bool = False,
-    node_budget: Optional[int] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
-    movable_places=None,
-):
-    """Build the sequential search, or its frontier-split parallel front end
-    when the caller asked for workers or an explicit shard split (both have
-    the same ``solutions()`` / ``stats`` surface — docs/parallelism.md).
-
-    The refinement ``movable_places`` classification tightens the
-    sequential searches only — snapshots do not carry it, so the parallel
-    path simply prunes later."""
-    if workers > 0 or (shards is not None and shards > 1):
-        from repro.core.parallel import KIND_PAIRS, KIND_WINDOW, ParallelSearch
-
-        assert kind in (KIND_PAIRS, KIND_WINDOW)
-        return ParallelSearch(
-            context,
-            kind=kind,
-            mode=mode,
-            nested_only=nested_only,
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
+def _require_sequential(workers: int) -> None:
+    """Accept only ``workers=0``: a check is one sequential search walk.
+    The keyword stays so that callers passing ``workers=0`` keep working."""
+    if workers != 0:
+        raise ValueError(
+            f"workers={workers!r} is not supported: intra-check parallelism "
+            "was removed, every check runs one sequential search (workers=0)"
         )
-    if kind == "window":
-        from repro.core.window import WindowSearch
-
-        return WindowSearch(
-            context,
-            node_budget=node_budget,
-            movable_places=movable_places,
-        )
-    return PairSearch(
-        context,
-        mode=mode,
-        nested_only=nested_only,
-        node_budget=node_budget,
-        movable_places=movable_places,
-    )
 
 
 def _facts_dcf(context: SolverContext) -> bool:
@@ -229,7 +193,6 @@ def check_usc(
     use_window_search: bool = True,
     node_budget: Optional[int] = None,
     workers: int = 0,
-    shards: Optional[int] = None,
     use_refinement: bool = False,
     cert_cache=None,
     unfolding_options: Optional[UnfoldingOptions] = None,
@@ -245,18 +208,18 @@ def check_usc(
     runs first (sub-millisecond linear algebra); a conclusive answer skips
     the search entirely.
 
-    ``workers`` / ``shards`` enable the frontier-split parallel search of
-    :mod:`repro.core.parallel` (0/None: sequential; verdicts and witnesses
-    are identical either way — docs/parallelism.md).
+    ``workers`` must be 0: the search always runs sequentially, and any
+    other value raises :class:`ValueError`.
 
     ``use_refinement`` runs the :mod:`repro.refine` prescreen (when
     dynamic conflict-freeness licenses it, structurally or by a
     :mod:`repro.analysis` proof): a refuted conflict system settles the
     check with a replayable dual certificate and no search at all;
-    otherwise the certified-immovable places tighten the sequential
+    otherwise the certified-immovable places tighten the
     searches.  Verdicts, witnesses and candidate counts are byte-identical
     either way (pinned by ``tests/refine``).
     """
+    _require_sequential(workers)
     started = time.perf_counter()
     context = _prepare(source, unfolding_options)
     nest = _should_nest(context, nested)
@@ -293,13 +256,8 @@ def check_usc(
             )
 
     if nest and use_window_search:
-        search = _make_search(
-            context,
-            "window",
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-            movable_places=movable,
+        search = WindowSearch(
+            context, node_budget=node_budget, movable_places=movable
         )
         with obs.trace("search.window"):
             for closure_mask, window_mask in search.solutions():
@@ -317,14 +275,11 @@ def check_usc(
                     break
         stats = search.stats
     else:
-        search = _make_search(
+        search = PairSearch(
             context,
-            "pairs",
             mode=MODE_EQUAL,
             nested_only=nest,
             node_budget=node_budget,
-            workers=workers,
-            shards=shards,
             movable_places=movable,
         )
         with obs.trace("search.pairs"):
@@ -357,7 +312,6 @@ def check_csc(
     use_window_search: bool = True,
     node_budget: Optional[int] = None,
     workers: int = 0,
-    shards: Optional[int] = None,
     use_refinement: bool = False,
     cert_cache=None,
     unfolding_options: Optional[UnfoldingOptions] = None,
@@ -378,9 +332,12 @@ def check_csc(
     ``use_refinement`` adds the :mod:`repro.refine` prescreen under the
     licence of :func:`check_usc`: a refuted conflict system means no USC
     conflict, hence CSC holds with zero candidates; otherwise the
-    certified-immovable places tighten the sequential searches.  Verdicts, witnesses and
+    certified-immovable places tighten the searches.  Verdicts, witnesses and
     candidate counts stay byte-identical (pinned by ``tests/refine``).
+
+    ``workers`` must be 0, as for :func:`check_usc`.
     """
+    _require_sequential(workers)
     started = time.perf_counter()
     context = _prepare(source, unfolding_options)
     nest = _should_nest(context, nested)
@@ -403,13 +360,8 @@ def check_csc(
             )
 
     if nest and use_window_search:
-        window_search = _make_search(
-            context,
-            "window",
-            node_budget=node_budget,
-            workers=workers,
-            shards=shards,
-            movable_places=movable,
+        window_search = WindowSearch(
+            context, node_budget=node_budget, movable_places=movable
         )
         saw_window = False
         with obs.trace("search.window"):
@@ -444,14 +396,11 @@ def check_csc(
             )
 
     if witness is None:
-        search = _make_search(
+        search = PairSearch(
             context,
-            "pairs",
             mode=MODE_EQUAL,
             nested_only=nest,
             node_budget=node_budget,
-            workers=workers,
-            shards=shards,
             movable_places=movable,
         )
         with obs.trace("search.pairs"):
@@ -470,7 +419,11 @@ def check_csc(
                 )
                 if first_only:
                     break
-        stats = search.stats if stats is None else _merge_stats(stats, search.stats)
+        if stats is None:
+            stats = search.stats
+        else:
+            stats = replace(stats)
+            stats.merge(search.stats)
 
     _flush_search_stats(stats)
     return CodingReport(
@@ -484,22 +437,10 @@ def check_csc(
     )
 
 
-def _merge_stats(a: SearchStats, b: SearchStats) -> SearchStats:
-    return SearchStats(
-        nodes=a.nodes + b.nodes,
-        leaves=a.leaves + b.leaves,
-        pruned_balance=a.pruned_balance + b.pruned_balance,
-        pruned_structure=a.pruned_structure + b.pruned_structure,
-        solutions=a.solutions + b.solutions,
-    )
-
-
 def check_normalcy(
     source: Union[STG, Prefix],
     signals: Optional[List[str]] = None,
     node_budget: Optional[int] = None,
-    workers: int = 0,
-    shards: Optional[int] = None,
     unfolding_options: Optional[UnfoldingOptions] = None,
 ) -> NormalcyIPReport:
     """Check normalcy of the given (default: all non-input) signals.
@@ -517,15 +458,7 @@ def check_normalcy(
     verdicts = {
         z: SignalVerdict(signal=z, p_normal=True, n_normal=True) for z in targets
     }
-    search = _make_search(
-        context,
-        "pairs",
-        mode=MODE_LEQ,
-        nested_only=False,
-        node_budget=node_budget,
-        workers=workers,
-        shards=shards,
-    )
+    search = PairSearch(context, mode=MODE_LEQ, node_budget=node_budget)
     unresolved = set(targets)
     with obs.trace("search.pairs"):
         for mask_a, mask_b in search.solutions():

@@ -24,26 +24,20 @@ convexity reduces to one incremental mask check per inclusion: none of the
 new event's causal predecessors may be an excluded successor of the window.
 
 Like :class:`repro.core.search.PairSearch`, the descent is an iterative
-explicit-stack loop (one preallocated frame per depth, a small stage machine
-for the include/exclude branches) and any subtree can be packaged as a
-picklable :class:`WindowShard` and resumed elsewhere — the frontier-split
-parallel driver of :mod:`repro.core.parallel` uses both searches through
-the same shard/frontier interface.
+explicit-stack loop: one preallocated frame per depth, and a small stage
+machine for the include/exclude branches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 from time import perf_counter
 
-from repro.core.context import SolverContext, SolverSnapshot
+from repro.core.context import SolverContext
 from repro.core.search import SearchStats
 from repro.exceptions import SolverLimitError
 from repro.obs import get_tracer
-
-ContextLike = Union[SolverContext, SolverSnapshot]
 
 _NO_BOUND = 1 << 62
 
@@ -52,22 +46,6 @@ _FRESH = 0          # node not expanded yet
 _TRY_EXCLUDE = 1    # include branch done (skipped or pruned), exclude next
 _IN_INCLUDE = 2     # include child running; undo its deltas on return
 _IN_EXCLUDE = 3     # exclude child running; pop on return
-
-
-@dataclass(frozen=True)
-class WindowShard:
-    """A picklable resume point of the window search: the subtree rooted at
-    the partial window ``chosen`` over positions ``< resume_index``, with the
-    incremental state (convexity successor mask, per-signal code difference,
-    marking-equation deltas) the descent threads through its frames.
-    """
-
-    resume_index: int
-    chosen: int
-    succ_mask: int
-    diff: Tuple[int, ...]
-    place_delta: Tuple[int, ...]
-    nonzero_places: int
 
 
 class WindowSearch:
@@ -82,13 +60,11 @@ class WindowSearch:
 
     def __init__(
         self,
-        context: ContextLike,
-        require_marking_change: bool = True,
+        context: SolverContext,
         node_budget: Optional[int] = None,
         movable_places: Optional[List[bool]] = None,
     ):
         self.context = context
-        self.require_marking_change = require_marking_change
         self.node_budget = node_budget
         self.stats = SearchStats()
         self.flows: List[Tuple[Tuple[int, int], ...]] = context.window_flows
@@ -97,9 +73,9 @@ class WindowSearch:
         # have zero token-flow delta in every balanced window, so once the
         # movable places are all balanced and no undecided position touches
         # one, the subtree can only complete to windows with an all-zero
-        # marking delta — which the require_marking_change leaf test drops
-        # anyway.  Pruning them early changes no yielded solution.
-        self._movable = movable_places if require_marking_change else None
+        # marking delta — which the marking-change leaf test drops anyway.
+        # Pruning them early changes no yielded solution.
+        self._movable = movable_places
         self._movable_suffix: List[bool] = []
         if self._movable is not None:
             self._movable_suffix = [False] * (context.num_vars + 1)
@@ -120,46 +96,16 @@ class WindowSearch:
 
     # -- public API -------------------------------------------------------------
 
-    def root_shard(self) -> WindowShard:
-        """The shard covering the whole search tree."""
-        return WindowShard(
-            resume_index=0,
-            chosen=0,
-            succ_mask=0,
-            diff=(0,) * self.context.num_signals,
-            place_delta=(0,) * self.context.num_places,
-            nonzero_places=0,
-        )
-
     def solutions(self) -> Iterator[Tuple[int, int]]:
-        return self.solutions_from(self.root_shard())
-
-    def solutions_from(self, shard: WindowShard) -> Iterator[Tuple[int, int]]:
-        """Resume the enumeration inside ``shard`` (its subtree only)."""
-        return self._walk(shard, None)  # type: ignore[return-value]
-
-    def frontier_from(self, shard: WindowShard, depth: int) -> List[WindowShard]:
-        """Split ``shard`` into the surviving partial windows at position
-        ``depth`` (clamped), in descent order; see
-        :meth:`repro.core.search.PairSearch.frontier_from` for the stats
-        contract (frontier + shard totals equal the sequential run).
-        """
-        stop = min(depth, self.context.num_vars)
-        if shard.resume_index >= stop:
-            return [shard]
-        return list(self._walk(shard, stop))  # type: ignore[arg-type]
+        return self._walk()
 
     # -- the iterative hot loop --------------------------------------------------
 
-    def _walk(
-        self, shard: WindowShard, stop: Optional[int]
-    ) -> Iterator[Union[Tuple[int, int], WindowShard]]:
+    def _walk(self) -> Iterator[Tuple[int, int]]:
         context = self.context
         num_vars = context.num_vars
-        start = shard.resume_index
-        depth_cap = num_vars - start + 1
+        depth_cap = num_vars + 1
         budget = self.node_budget if self.node_budget is not None else _NO_BOUND
-        require_change = self.require_marking_change
         pred_pos = context.pred_pos
         conf_pos = context.conf_pos
         signal_of = context.signal_of
@@ -172,42 +118,21 @@ class WindowSearch:
         movable = self._movable
         movable_suffix = self._movable_suffix if movable is not None else None
 
-        diff = list(shard.diff)
-        place_delta = list(shard.place_delta)
+        diff = [0] * context.num_signals
+        place_delta = [0] * context.num_places
         chosen = [0] * depth_cap
         succ = [0] * depth_cap
         nonzero = [0] * depth_cap
         movable_nonzero = [0] * depth_cap
         stage = [_FRESH] * depth_cap
-        chosen[0], succ[0] = shard.chosen, shard.succ_mask
-        nonzero[0] = shard.nonzero_places
-        if movable is not None:
-            movable_nonzero[0] = sum(
-                1
-                for place, delta in enumerate(place_delta)
-                if delta and movable[place]
-            )
 
         nodes = leaves = pruned = pruned_struct = found = 0
         depth = 0
         try:
             while depth >= 0:
-                index = start + depth
+                index = depth
                 st = stage[depth]
                 if st == _FRESH:
-                    if stop is not None and index == stop:
-                        # emit a resume point; the node itself is counted by
-                        # whoever descends into the shard, not here
-                        yield WindowShard(
-                            resume_index=index,
-                            chosen=chosen[depth],
-                            succ_mask=succ[depth],
-                            diff=tuple(diff),
-                            place_delta=tuple(place_delta),
-                            nonzero_places=nonzero[depth],
-                        )
-                        depth -= 1
-                        continue
                     nodes += 1
                     if nodes > budget:
                         raise SolverLimitError(
@@ -217,11 +142,7 @@ class WindowSearch:
                     if index == num_vars:
                         leaves += 1
                         window = chosen[depth]
-                        if (
-                            window != 0
-                            and not any(diff)
-                            and (nonzero[depth] != 0 or not require_change)
-                        ):
+                        if window != 0 and not any(diff) and nonzero[depth] != 0:
                             found += 1
                             yield self._closure(window), window
                         depth -= 1

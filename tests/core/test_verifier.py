@@ -131,6 +131,17 @@ class TestOptions:
             forced = check_usc(stg, nested=False)
             assert auto.holds == forced.holds
 
+    @pytest.mark.parametrize("checker", [check_usc, check_csc])
+    def test_workers_zero_is_the_only_accepted_value(self, vme, checker):
+        default = checker(vme)
+        explicit = checker(vme, workers=0)
+        assert explicit.holds == default.holds
+        assert explicit.witness == default.witness
+        assert explicit.usc_only_candidates == default.usc_only_candidates
+        assert explicit.search_stats == default.search_stats
+        with pytest.raises(ValueError, match="intra-check parallelism was removed"):
+            checker(vme, workers=2)
+
     def test_prebuilt_prefix_accepted(self, vme):
         from repro.unfolding import unfold
 

@@ -135,6 +135,17 @@ class TestCompare:
         grown["results"].append(extra)
         assert harness.compare_reports(report, grown) == []
 
+    def test_committed_report_with_workers_rows_still_reads(self, report):
+        # BENCH_current.json predates the removal of the workers axis: its
+        # records carry "workers" and its /w=2 rows have no partner to gate
+        committed = json.loads(
+            (_HARNESS_PATH.parents[1] / "BENCH_current.json").read_text()
+        )
+        harness.validate_report(committed)
+        assert any(r.get("workers") == 2 for r in committed["results"])
+        flagged = harness.compare_reports(committed, report)
+        assert not any("/w=" in entry["id"] for entry in flagged)
+
     def test_compare_cli_exit_codes(self, report, tmp_path, capsys):
         old = tmp_path / "old.json"
         new = tmp_path / "new.json"

@@ -74,7 +74,6 @@ class TestBenchAxis:
         assert case.case_id == "token-ring/n=4/usc"
         refined = case.with_refine(True)
         assert refined.case_id == "token-ring/n=4/usc/r=1"
-        assert refined.with_workers(2).case_id == "token-ring/n=4/usc/w=2/r=1"
         assert refined.refine and not case.refine
 
     def test_run_suite_expands_the_axis(self, monkeypatch):
@@ -87,7 +86,6 @@ class TestBenchAxis:
                 "family": case.family,
                 "size": case.size,
                 "property": case.prop,
-                "workers": case.workers,
                 "refine": case.refine,
                 "holds": True,
                 "repeats": repeat,

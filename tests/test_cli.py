@@ -1,5 +1,10 @@
 """Tests for the repro-stg command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -56,6 +61,24 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "witness" in out
         assert "prefix" in out
+
+    def test_workers_flag_is_rejected_by_argparse(self):
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli",
+                "check", "--workers", "2", "examples/vme_bus.g",
+            ],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+        assert "--workers" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.g"]) == 2
