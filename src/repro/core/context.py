@@ -90,6 +90,7 @@ class SolverContext:
         self._non_input_set = frozenset(self.stg.non_input_signals)
         self._window_flows: Optional[List[Tuple[Tuple[int, int], ...]]] = None
         self._succ_pos: Optional[List[int]] = None
+        self._out_cache: Dict[Marking, FrozenSet[str]] = {}
 
     @property
     def num_places(self) -> int:
@@ -186,8 +187,13 @@ class SolverContext:
     def out_of(self, marking: Marking) -> FrozenSet[str]:
         """``Out(M)`` evaluated directly on the original STG (the paper's
         treatment of the non-linear CSC separating constraint).  For STGs
-        with dummies the weak (silent-closure) excitation is used."""
-        return enabled_outputs(self.stg, marking, weak=True)
+        with dummies the weak (silent-closure) excitation is used.  Memoised
+        per marking: the CSC filters revisit the same few markings."""
+        out = self._out_cache.get(marking)
+        if out is None:
+            out = enabled_outputs(self.stg, marking, weak=True)
+            self._out_cache[marking] = out
+        return out
 
     def nxt_of(self, marking: Marking, code: Sequence[int], signal: str) -> int:
         return next_state_value(self.stg, marking, code, signal)

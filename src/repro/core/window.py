@@ -16,12 +16,24 @@ to a search over single event sets:
 
 Hence a USC conflict exists iff some non-empty, conflict-free, convex event
 set ``D`` has a zero signal-change vector and a non-zero original-net marking
-delta.  The search below enumerates such windows with the same interval
-pruning as the pair search, over a single 0-1 vector — exponentially fewer
-nodes on the conflict-free benchmarks, where the pair search must enumerate
-every configuration pair.  Because the branching order is topological,
-convexity reduces to one incremental mask check per inclusion: none of the
-new event's causal predecessors may be an excluded successor of the window.
+delta.  The search below enumerates such windows over a single 0-1 vector
+— exponentially fewer nodes on the conflict-free benchmarks, where the pair
+search must enumerate every configuration pair.  Because the branching
+order is topological, convexity reduces to one incremental mask check per
+inclusion: none of the new event's causal predecessors may be an excluded
+successor of the window.
+
+The signal-balance bound counts only *live* later edges (the prefix-order
+propagation of the paper's branch and bound, used for pruning as well as
+for legality).  Each frame carries a ``dead`` position mask of events no
+completion can include any more: the events in conflict with an included
+event, and the causal successors of an excluded successor of the window
+(they would break convexity).  Both are permanent — the window only grows,
+and an excluded successor stays excluded and stays in the successor mask —
+so a signal whose difference ``d > 0`` (``d < 0``) exceeds the live ``s-``
+(``s+``) edges left has no balanced leaf below it and the subtree is
+pruned.  A decision that kills no event re-checks only its own signal; one
+that kills events re-checks every unbalanced signal.
 
 Like :class:`repro.core.search.PairSearch`, the descent is an iterative
 explicit-stack loop: one preallocated frame per depth, and a small stage
@@ -38,6 +50,7 @@ from repro.core.context import SolverContext
 from repro.core.search import SearchStats
 from repro.exceptions import SolverLimitError
 from repro.obs import get_tracer
+from repro.utils.bitset import popcount
 
 _NO_BOUND = 1 << 62
 
@@ -83,16 +96,26 @@ class WindowSearch:
                 self._movable_suffix[index] = self._movable_suffix[index + 1] or any(
                     self._movable[place] for place, _ in self.flows[index]
                 )
-        # balance interval per position, for its own signal: the undecided
-        # suffix can only raise the difference via s- events (exclusion side
-        # of a nested pair) and lower it via s+ events.
-        self._lim_pos: List[int] = [_NO_BOUND] * context.num_vars
-        self._lim_neg: List[int] = [-_NO_BOUND] * context.num_vars
+        # balance masks per signal: a positive difference can only be undone
+        # by later live s- positions, a negative one by live s+ positions
+        self._plus_mask: List[int] = [0] * context.num_signals
+        self._minus_mask: List[int] = [0] * context.num_signals
         for index in range(context.num_vars):
             signal = context.signal_of[index]
             if signal is not None:
-                self._lim_pos[index] = context.suffix_minus[index + 1][signal]
-                self._lim_neg[index] = -context.suffix_plus[index + 1][signal]
+                if context.delta_of[index] > 0:
+                    self._plus_mask[signal] |= 1 << index
+                else:
+                    self._minus_mask[signal] |= 1 << index
+        # per position: the positions after it, and the signals its decision
+        # re-checks when it kills no event (its own, if it has one)
+        full = (1 << context.num_vars) - 1
+        self._later: List[int] = [
+            full & ~((2 << index) - 1) for index in range(context.num_vars)
+        ]
+        self._own_signal: List[Tuple[int, ...]] = [
+            () if signal is None else (signal,) for signal in context.signal_of
+        ]
 
     # -- public API -------------------------------------------------------------
 
@@ -112,8 +135,11 @@ class WindowSearch:
         delta_of = context.delta_of
         flows = self.flows
         succ_pos = self.succ_pos
-        lim_pos = self._lim_pos
-        lim_neg = self._lim_neg
+        plus_mask = self._plus_mask
+        minus_mask = self._minus_mask
+        later = self._later
+        own_signal = self._own_signal
+        all_signals = range(context.num_signals)
 
         movable = self._movable
         movable_suffix = self._movable_suffix if movable is not None else None
@@ -122,6 +148,7 @@ class WindowSearch:
         place_delta = [0] * context.num_places
         chosen = [0] * depth_cap
         succ = [0] * depth_cap
+        dead = [0] * depth_cap
         nonzero = [0] * depth_cap
         movable_nonzero = [0] * depth_cap
         stage = [_FRESH] * depth_cap
@@ -171,11 +198,30 @@ class WindowSearch:
                     ):
                         signal = signal_of[index]
                         if signal is not None:
-                            value = diff[signal] + delta_of[index]
-                            if value > lim_pos[index] or value < lim_neg[index]:
-                                pruned += 1
-                                continue
-                            diff[signal] = value
+                            diff[signal] += delta_of[index]
+                        # the events in conflict with the new one die; if any
+                        # did, every unbalanced signal may have lost its last
+                        # counter-edges, else only this one's suffix shrank
+                        live = later[index] & ~dead[depth]
+                        killed = conf_pos[index] & live
+                        live &= ~killed
+                        balanced = True
+                        for sig in all_signals if killed else own_signal[index]:
+                            value = diff[sig]
+                            if (
+                                value > 0
+                                and popcount(minus_mask[sig] & live) < value
+                            ) or (
+                                value < 0
+                                and popcount(plus_mask[sig] & live) < -value
+                            ):
+                                balanced = False
+                                break
+                        if not balanced:
+                            if signal is not None:
+                                diff[signal] -= delta_of[index]
+                            pruned += 1
+                            continue
                         nz = nonzero[depth]
                         mnz = movable_nonzero[depth]
                         for place, d in flows[index]:
@@ -194,6 +240,7 @@ class WindowSearch:
                         child = depth + 1
                         chosen[child] = window | (1 << index)
                         succ[child] = succ[depth] | succ_pos[index]
+                        dead[child] = dead[depth] | killed
                         nonzero[child] = nz
                         movable_nonzero[child] = mnz
                         stage[child] = _FRESH
@@ -209,16 +256,29 @@ class WindowSearch:
                     st = _TRY_EXCLUDE
                 if st == _TRY_EXCLUDE:
                     stage[depth] = _IN_EXCLUDE
-                    signal = signal_of[index]
-                    if signal is not None:
-                        value = diff[signal]
-                        if value > lim_pos[index] or value < lim_neg[index]:
-                            pruned += 1
-                            depth -= 1
-                            continue
+                    # an excluded successor of the window kills its causal
+                    # successors (including one would break convexity)
+                    live = later[index] & ~dead[depth]
+                    killed = succ_pos[index] & live if succ[depth] >> index & 1 else 0
+                    live &= ~killed
+                    balanced = True
+                    for sig in all_signals if killed else own_signal[index]:
+                        value = diff[sig]
+                        if (
+                            value > 0 and popcount(minus_mask[sig] & live) < value
+                        ) or (
+                            value < 0 and popcount(plus_mask[sig] & live) < -value
+                        ):
+                            balanced = False
+                            break
+                    if not balanced:
+                        pruned += 1
+                        depth -= 1
+                        continue
                     child = depth + 1
                     chosen[child] = chosen[depth]
                     succ[child] = succ[depth]
+                    dead[child] = dead[depth] | killed
                     nonzero[child] = nonzero[depth]
                     movable_nonzero[child] = movable_nonzero[depth]
                     stage[child] = _FRESH

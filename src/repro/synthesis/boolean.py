@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.utils.bitset import popcount
+
 
 @dataclass(frozen=True)
 class Cube:
@@ -44,7 +46,7 @@ class Cube:
         if self.mask != other.mask:
             return None
         delta = self.values ^ other.values
-        if delta.bit_count() != 1:
+        if popcount(delta) != 1:
             return None
         new_mask = self.mask & ~delta
         return Cube(new_mask, self.values & new_mask)
@@ -75,7 +77,7 @@ class Cover:
         return any(cube.contains(minterm) for cube in self.cubes)
 
     def literal_count(self) -> int:
-        return sum(cube.mask.bit_count() for cube in self.cubes)
+        return sum(popcount(cube.mask) for cube in self.cubes)
 
     def variables_used(self) -> Set[int]:
         used: Set[int] = set()
@@ -142,7 +144,7 @@ def prime_implicants(
                         used.add(b)
         primes.update(current - used)
         current = merged
-    return sorted(primes, key=lambda c: (c.mask.bit_count(), c.mask, c.values))
+    return sorted(primes, key=lambda c: (popcount(c.mask), c.mask, c.values))
 
 
 #: problem sizes up to which the covering step is solved exactly
@@ -196,7 +198,7 @@ def _greedy_cover(remaining: Set[int], candidates: List[Cube]) -> List[Cube]:
             candidates,
             key=lambda p: (
                 sum(1 for m in remaining if p.contains(m)),
-                -p.mask.bit_count(),
+                -popcount(p.mask),
             ),
         )
         covered = {m for m in remaining if best.contains(m)}

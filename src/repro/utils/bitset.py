@@ -10,7 +10,13 @@ The class is immutable: every operation returns a new :class:`BitSet`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+#: Number of set bits of a non-negative integer: ``int.bit_count`` where the
+#: interpreter has it (3.10+), else the string-count fallback.
+popcount: Callable[[int], int] = getattr(
+    int, "bit_count", lambda x: bin(x).count("1")
+)
 
 
 class BitSet:
@@ -74,7 +80,7 @@ class BitSet:
             bits &= bits - 1
 
     def __len__(self) -> int:
-        return self._bits.bit_count()
+        return popcount(self._bits)
 
     def __bool__(self) -> bool:
         return self._bits != 0

@@ -1,10 +1,14 @@
 """Unit and property tests for the BitSet utility."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.bitset import BitSet
+from repro.utils import bitset
+from repro.utils.bitset import BitSet, popcount
 
 small_sets = st.sets(st.integers(min_value=0, max_value=200), max_size=40)
 
@@ -92,3 +96,22 @@ class TestAlgebraProperties:
         assert (a == b) == (xs == ys)
         if xs == ys:
             assert hash(a) == hash(b)
+
+
+class TestPopcount:
+    @given(st.integers(min_value=0, max_value=1 << 300))
+    def test_matches_binary_digits(self, x):
+        assert popcount(x) == bin(x).count("1")
+
+    def test_no_bit_count_outside_the_helper(self):
+        """``int.bit_count`` is 3.10+; the package supports 3.9, so every
+        population count goes through :data:`popcount`."""
+        src = Path(bitset.__file__).resolve().parents[2]
+        pattern = re.compile(r"\.bit_count\(")
+        offenders = [
+            f"{path.relative_to(src)}:{number}"
+            for path in sorted(src.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert offenders == []
