@@ -3,13 +3,18 @@
 The paper stresses that keeping the constraints linear admits "more good
 heuristics".  In the nested (Proposition 1) formulation a USC conflict
 exists iff some non-empty balanced window ``D`` has non-zero original-net
-token flow ``I·x_D``.  The **kernel test** (exact linear algebra, cheap)
-uses that: if every vector in the null space of the signal-balance matrix
-also lies in the null space of the incidence matrix, then *no* balanced
-vector — integral or not — can change the marking, so the STG has no USC
-conflict and the search can be skipped entirely.  Typical conclusive case:
-fully sequential cyclic controllers, whose only balanced window is the
-full cycle.
+token flow ``I·x_D``.  The **kernel test** uses that: if every vector in the
+null space of the signal-balance matrix also lies in the null space of the
+token-flow matrix, then *no* balanced vector — integral or not — can change
+the marking, so the STG has no USC conflict and the search can be skipped
+entirely.  Each balance column holds a single ``±1`` (zero for a dummy), so
+the inclusion reduces to a closed form,
+:func:`~repro.petri.incidence.signal_flows`: every dummy has zero flow and
+all edges of a signal carry the same signed flow.  An event column copies
+its transition's column, so the test runs over the distinct transitions
+occurring among the free events and costs microseconds.  Typical
+conclusive case: toggle banks, whose marking is an affine function of the
+code.
 
 The stronger relaxation — the ``[0,1]``-box LP over :func:`nested_pair_rows`
 with integral rounding and an exact dual certificate — lives in
@@ -25,8 +30,11 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.context import SolverContext
-from repro.petri.analysis import _integer_kernel
-from repro.petri.incidence import balance_matrix_from_changes, transition_flow_matrix
+from repro.petri.incidence import (
+    balance_matrix_from_changes,
+    signal_flows,
+    transition_flow_matrix,
+)
 
 #: One relaxation row over the ``2n`` variables ``x'_0..x'_{n-1}, x''_0..``.
 RelaxationRow = Tuple[Sequence[int], str, int]
@@ -56,13 +64,11 @@ def kernel_prescreen(context: SolverContext) -> Optional[bool]:
     Returns ``False`` if provably no USC conflict exists (every balanced
     vector has zero token flow), ``None`` if inconclusive.
     """
-    balance = _balance_matrix(context)
-    flow = _flow_matrix(context)
-    kernel = _integer_kernel(balance)
-    for vector in kernel:
-        if (flow @ vector).any():
-            return None
-    return False
+    events = context.prefix.events
+    transitions = sorted({events[e].transition for e in context.order})
+    changes = [context.stg.signal_change(t) for t in transitions]
+    flow = transition_flow_matrix(context.prefix.net, transitions)
+    return None if signal_flows(changes, flow) is None else False
 
 
 def nested_pair_rows(context: SolverContext) -> Iterator[RelaxationRow]:

@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.context import SolverContext
+from repro.core.prescreen import kernel_prescreen
 from repro.core.search import MODE_EQUAL, MODE_LEQ, PairSearch, SearchStats
 from repro.core.window import WindowSearch
 from repro.petri.marking import Marking
@@ -167,6 +168,29 @@ def _run_refinement(context: SolverContext, nest: bool, cert_cache=None):
     return outcome.refuted, movable
 
 
+def _kernel_refutes(context: SolverContext) -> bool:
+    """The exact-kernel test proves that no USC conflict exists (nested
+    formulation only)."""
+    with obs.trace("search.prescreen"):
+        return kernel_prescreen(context) is False
+
+
+def _settled(
+    property_name: str, context: SolverContext, started: float
+) -> CodingReport:
+    """The report of a check a prescreen settled: the property holds, and no
+    search ran."""
+    return CodingReport(
+        property_name=property_name,
+        holds=True,
+        witness=None,
+        usc_only_candidates=0,
+        prefix_stats=context.prefix.stats(),
+        search_stats=SearchStats(),
+        elapsed=time.perf_counter() - started,
+    )
+
+
 def _should_nest(context: SolverContext, nested: Optional[bool]) -> bool:
     """Resolve the Proposition 1 switch.
 
@@ -205,8 +229,9 @@ def check_usc(
     the general pair search.
 
     In the nested case the exact-kernel test of :mod:`repro.core.prescreen`
-    runs first (sub-millisecond linear algebra); a conclusive answer skips
-    the search entirely.
+    runs first: one integer comparison of signed token flows per edge of
+    each signal, exact in both directions.  A conclusive answer skips the
+    search entirely.
 
     ``workers`` must be 0: the search always runs sequentially, and any
     other value raises :class:`ValueError`.
@@ -225,35 +250,14 @@ def check_usc(
     nest = _should_nest(context, nested)
     witness = None
 
-    if nest:
-        from repro.core.prescreen import kernel_prescreen
-
-        with obs.trace("search.prescreen"):
-            verdict = kernel_prescreen(context)
-        if verdict is False:
-            return CodingReport(
-                property_name="USC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
+    if nest and _kernel_refutes(context):
+        return _settled("USC", context, started)
 
     movable = None
     if use_refinement:
         refuted, movable = _run_refinement(context, nest, cert_cache)
         if refuted:
-            return CodingReport(
-                property_name="USC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
+            return _settled("USC", context, started)
 
     if nest and use_window_search:
         search = WindowSearch(
@@ -322,6 +326,9 @@ def check_csc(
     linear system, then filter them through the non-linear separating
     constraint ``Out(M') != Out(M'')`` evaluated directly on the STG.
 
+    In the nested case the exact-kernel test of :func:`check_usc` runs
+    first: no USC conflict means CSC holds with zero candidates.
+
     On dynamically conflict-free STGs a window-search pre-pass settles the
     common cases cheaply: no window at all means USC (hence CSC) holds, and
     a window whose minimal embedding already has differing ``Out`` sets is a
@@ -345,19 +352,14 @@ def check_csc(
     usc_only = 0
     stats = None
 
+    if nest and _kernel_refutes(context):
+        return _settled("CSC", context, started)
+
     movable = None
     if use_refinement:
         refuted, movable = _run_refinement(context, nest, cert_cache)
         if refuted:
-            return CodingReport(
-                property_name="CSC",
-                holds=True,
-                witness=None,
-                usc_only_candidates=0,
-                prefix_stats=context.prefix.stats(),
-                search_stats=SearchStats(),
-                elapsed=time.perf_counter() - started,
-            )
+            return _settled("CSC", context, started)
 
     if nest and use_window_search:
         window_search = WindowSearch(

@@ -25,7 +25,7 @@ with exact rational arithmetic.  Two kinds exist:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -38,45 +38,7 @@ CERT_LP = "state-equation-lp"
 CERT_VERSION = 1
 
 
-# -- exact linear algebra ------------------------------------------------------
-
-
-def solve_exact(
-    matrix: List[List[Fraction]], rhs: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """One exact solution of ``matrix @ x = rhs`` (None if inconsistent).
-
-    Gaussian elimination over :class:`~fractions.Fraction`; free variables
-    are pinned to 0, so the result is the minimal-support particular
-    solution the certificate stores.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivot_of_col: Dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c]
-        work[r] = [v / inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if work[i][cols] != 0:
-            return None  # 0 = nonzero: inconsistent
-    solution = [Fraction(0)] * cols
-    for c, pr in pivot_of_col.items():
-        solution[c] = work[pr][cols]
-    return solution
+# -- matrices ------------------------------------------------------------------
 
 
 def balance_matrix(stg: STG) -> np.ndarray:
@@ -93,30 +55,27 @@ def balance_matrix(stg: STG) -> np.ndarray:
 def build_affine_certificate(stg: STG) -> Optional[Dict[str, Any]]:
     """Try to express every incidence row as a combination of balance rows.
 
+    ``C[p, z] = δ_t·I[p, t]`` for every edge ``t`` of ``z`` (0 for a signal
+    without transitions), read off :func:`repro.petri.incidence.signal_flows`.
     Returns the certificate dict on success, ``None`` when some place's
     token flow is not an affine function of the code (the common case).
     """
-    from repro.petri.incidence import incidence_matrix
+    from repro.petri.incidence import incidence_matrix, signal_flows
 
     if stg.has_dummies():
         return None
     net = stg.net
     if net.num_transitions == 0 or not stg.signals:
         return None
-    incidence = incidence_matrix(net)
-    balance = balance_matrix(stg)
-    # solve c @ B = row  <=>  B^T c = row^T, one system per place
-    bt = [
-        [Fraction(int(balance[z, t])) for z in range(balance.shape[0])]
-        for t in range(balance.shape[1])
+    changes = [stg.signal_change(t) for t in range(net.num_transitions)]
+    flows = signal_flows(changes, incidence_matrix(net))
+    if flows is None:
+        return None
+    zero = np.zeros(net.num_places, dtype=np.int64)
+    columns = [flows.get(z, zero) for z in range(len(stg.signals))]
+    matrix = [
+        [str(int(column[p])) for column in columns] for p in range(net.num_places)
     ]
-    matrix: List[List[str]] = []
-    for p in range(net.num_places):
-        rhs = [Fraction(int(incidence[p, t])) for t in range(net.num_transitions)]
-        coefficients = solve_exact(bt, rhs)
-        if coefficients is None:
-            return None
-        matrix.append([str(c) for c in coefficients])
     return {
         "kind": CERT_AFFINE,
         "version": CERT_VERSION,

@@ -11,7 +11,7 @@ characterisation on acyclic nets such as unfolding prefixes.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,35 @@ def transition_flow_matrix(
         for p, w in net.postset(transition).items():
             matrix[p, j] += w
     return matrix
+
+
+def signal_flows(
+    changes: Sequence[Tuple[Optional[int], int]], flow: np.ndarray
+) -> Optional[Dict[int, np.ndarray]]:
+    """The token flow of each signal, if the flow is a function of the code.
+
+    ``changes`` and ``flow`` describe the same columns, as for
+    :func:`balance_matrix_from_changes` and :func:`transition_flow_matrix`.
+    The balance matrix ``B`` has one ``±1`` entry per column (none for a
+    dummy), so its kernel is spanned by ``e_j`` for each dummy column and by
+    ``e_j − δ_j·δ_r·e_r`` for any two columns ``j``, ``r`` of one signal.
+    Hence ``ker B ⊆ ker flow`` holds exactly when every dummy column of
+    ``flow`` is zero and all columns of a signal carry the same signed flow
+    ``δ·flow[:, j]``.  Returns that common vector per signal (signals with no
+    column are absent), or ``None`` when the inclusion fails.  Integer
+    comparisons only: no elimination and no kernel basis.
+    """
+    flows: Dict[int, np.ndarray] = {}
+    for j, (signal, delta) in enumerate(changes):
+        column = flow[:, j]
+        if signal is None:
+            if column.any():
+                return None
+            continue
+        signed = delta * column
+        if not np.array_equal(flows.setdefault(signal, signed), signed):
+            return None
+    return flows
 
 
 def parikh_vector(net: PetriNet, sequence: Iterable[int]) -> np.ndarray:
