@@ -1,14 +1,19 @@
 """Tests for the incidence matrix and the marking equation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.petri.generators import chain, cycle
 from repro.petri.incidence import (
+    balance_matrix_from_changes,
     incidence_matrix,
     marking_equation_feasible,
     parikh_vector,
+    signal_flows,
     state_equation_result,
+    transition_flow_matrix,
 )
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -42,6 +47,91 @@ class TestIncidenceMatrix:
         matrix = incidence_matrix(net)
         assert matrix[0, 0] == -2
         assert matrix[1, 0] == 3
+
+
+class TestBalanceMatrixFromChanges:
+    def test_one_signed_entry_per_signal_column(self):
+        changes = [(0, 1), (1, -1), (None, 0), (0, -1)]
+        assert balance_matrix_from_changes(changes, 2).tolist() == [
+            [1, 0, 0, -1],
+            [0, -1, 0, 0],
+        ]
+
+    def test_unused_signals_get_zero_rows(self):
+        assert balance_matrix_from_changes([(1, 1)], 3).tolist() == [[0], [1], [0]]
+
+
+class TestTransitionFlowMatrix:
+    def test_columns_copy_incidence_with_repeats(self, simple_net):
+        columns = [1, 0, 1]
+        assert np.array_equal(
+            transition_flow_matrix(simple_net, columns),
+            incidence_matrix(simple_net)[:, columns],
+        )
+
+    def test_empty_column_list(self, simple_net):
+        assert transition_flow_matrix(simple_net, []).shape == (3, 0)
+
+
+class TestSignalFlows:
+    def test_falling_edge_flow_is_negated(self):
+        flows = signal_flows([(0, -1)], np.array([[2], [-1]]))
+        assert flows[0].tolist() == [-2, 1]
+
+    def test_opposite_edges_moving_a_token_back_agree(self):
+        # z+ moves the token p -> q, z- moves it back
+        flow = np.array([[-1, 1], [1, -1]])
+        flows = signal_flows([(0, 1), (0, -1)], flow)
+        assert flows is not None and flows[0].tolist() == [-1, 1]
+
+    def test_same_edges_on_different_places_disagree(self):
+        # two z+ edges, each moving a token between its own pair of places
+        flow = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]])
+        assert signal_flows([(0, 1), (0, 1)], flow) is None
+
+    def test_arc_weights_count(self):
+        assert signal_flows([(0, 1), (0, 1)], np.array([[2, 1]])) is None
+        flows = signal_flows([(0, 1), (0, 1)], np.array([[2, 2]]))
+        assert flows[0].tolist() == [2]
+
+    def test_one_disagreeing_signal_spoils_the_answer(self):
+        changes = [(0, 1), (0, -1), (1, 1), (1, 1)]
+        flow = np.array([[1, -1, 1, 0]])
+        assert signal_flows(changes[:2], flow[:, :2]) is not None
+        assert signal_flows(changes, flow) is None
+
+    def test_only_signals_with_columns_appear(self):
+        flows = signal_flows([(2, 1), (None, 0)], np.array([[1, 0]]))
+        assert set(flows) == {2}
+
+    def test_self_loop_edges_have_zero_flow(self):
+        flows = signal_flows([(0, 1), (0, -1)], np.zeros((2, 2), dtype=np.int64))
+        assert flows[0].tolist() == [0, 0]
+
+    def test_net_without_places_is_decided(self):
+        flows = signal_flows(
+            [(0, 1), (None, 0), (0, -1)], np.zeros((0, 3), dtype=np.int64)
+        )
+        assert set(flows) == {0} and flows[0].shape == (0,)
+
+    def test_answer_does_not_depend_on_column_order(self):
+        changes = [(0, 1), (1, -1), (None, 0), (0, -1), (1, 1)]
+        flow = np.array([[1, 0, 0, -1, 0], [0, 2, 0, 0, -2]])
+        expected = signal_flows(changes, flow)
+        assert expected is not None
+        for order in itertools.permutations(range(len(changes))):
+            flows = signal_flows([changes[j] for j in order], flow[:, list(order)])
+            assert flows.keys() == expected.keys()
+            for signal, vector in expected.items():
+                assert np.array_equal(flows[signal], vector)
+
+    def test_inputs_are_left_untouched(self):
+        changes = [(0, -1), (0, 1)]
+        flow = np.array([[1, -1], [-1, 1]])
+        flows = signal_flows(changes, flow)
+        flows[0][:] = 7
+        assert changes == [(0, -1), (0, 1)]
+        assert flow.tolist() == [[1, -1], [-1, 1]]
 
 
 class TestStateEquation:
